@@ -27,6 +27,22 @@ func TestTX1ClusterAssembly(t *testing.T) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	ok := TX1Cluster(2, network.GigE)
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("TX1 preset rejected: %v", err)
+	}
+	noNodes, noCores, noRanks := ok, ok, ok
+	noNodes.Nodes = 0
+	noCores.NodeType.CPU.Cores = 0
+	noRanks.RanksPerNode = 0
+	for name, cfg := range map[string]Config{"nodes": noNodes, "cores": noCores, "ranks": noRanks, "zero": {}} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, cfg)
+		}
+	}
+}
+
 func TestComputeAccounting(t *testing.T) {
 	cfg := TX1Cluster(1, network.GigE)
 	cfg.RanksPerNode = 1

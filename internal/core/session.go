@@ -68,10 +68,11 @@ func (s *Session) CritPathReports() []*critpath.Report { return s.r.Reports() }
 
 // NewScenario validates and normalizes a run request into the canonical
 // runner.Scenario exactly the way Session.Run does: the workload must be
-// registered, GPU workloads require a GPU, and RanksPerNode is derived
-// from the workload (clamped by the node's core count). Front ends that
-// accept serialized requests (cmd/simd) resolve through this so their
-// fingerprints land on the same cache entries the library face warms.
+// registered, GPU workloads require a GPU, RanksPerNode is derived from
+// the workload (clamped by the node's core count), and the result must
+// pass cluster.Config.Validate. Front ends that accept serialized
+// requests (cmd/simd) resolve through this so their fingerprints land on
+// the same cache entries the library face warms.
 func NewScenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runner.Scenario, error) {
 	return scenario(cfg, workload, wcfg)
 }
@@ -88,6 +89,9 @@ func scenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runne
 	cfg.RanksPerNode = w.RanksPerNode()
 	if cfg.NodeType.CPU.Cores < cfg.RanksPerNode {
 		cfg.RanksPerNode = cfg.NodeType.CPU.Cores
+	}
+	if err := cfg.Validate(); err != nil {
+		return runner.Scenario{}, err
 	}
 	return runner.Scenario{Cluster: cfg, Workload: workload, Config: wcfg}, nil
 }

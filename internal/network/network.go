@@ -172,7 +172,7 @@ func (nw *Network) Nodes() int { return len(nw.tx) }
 // and the time the last byte reaches the receiver. Deliver does not block;
 // the MPI layer schedules around the returned times.
 func (nw *Network) Deliver(src, dst int, bytes float64) (senderFree, arrival float64) {
-	return nw.deliver(src, dst, bytes, nw.eng.Now(), nw.eng.Now())
+	return nw.deliver(src, dst, bytes, nw.eng.Now())
 }
 
 // DeliverAfter is Deliver with a floor on the service start: the booking
@@ -180,31 +180,12 @@ func (nw *Network) Deliver(src, dst int, bytes float64) (senderFree, arrival flo
 // eager-retransmit copy of a lost message, which leaves the NIC only
 // after the retransmit timeout has elapsed.
 func (nw *Network) DeliverAfter(src, dst int, bytes, earliest float64) (senderFree, arrival float64) {
-	return nw.deliver(src, dst, bytes, math.Max(earliest, nw.eng.Now()), nw.eng.Now())
+	return nw.deliver(src, dst, bytes, math.Max(earliest, nw.eng.Now()))
 }
 
-// DeliverFrom is Deliver evaluated in p's time frame: the floor and the
-// observation timestamp come from p's engine rather than the network's.
-// On a sequential run the two clocks are the same object, so the result
-// is identical; under PDES p's engine is a partition child, and a booking
-// that crosses partitions first parks p until the coordinator grants it
-// the cross-partition exclusive section (sim.Engine.AcquireCross).
-func (nw *Network) DeliverFrom(p *sim.Process, src, dst int, bytes float64) (senderFree, arrival float64) {
-	if src != dst {
-		p.Engine().AcquireCross(dst)
-	}
-	return nw.deliver(src, dst, bytes, p.Now(), p.Now())
-}
-
-// DeliverAfterFrom is DeliverAfter in p's time frame (see DeliverFrom).
-func (nw *Network) DeliverAfterFrom(p *sim.Process, src, dst int, bytes, earliest float64) (senderFree, arrival float64) {
-	if src != dst {
-		p.Engine().AcquireCross(dst)
-	}
-	return nw.deliver(src, dst, bytes, math.Max(earliest, p.Now()), p.Now())
-}
-
-func (nw *Network) deliver(src, dst int, bytes, floor, now float64) (senderFree, arrival float64) {
+// deliver books the message with its service start no earlier than floor.
+func (nw *Network) deliver(src, dst int, bytes, floor float64) (senderFree, arrival float64) {
+	now := nw.eng.Now()
 	if src < 0 || src >= len(nw.tx) || dst < 0 || dst >= len(nw.rx) {
 		panic(fmt.Sprintf("network: node out of range: %d -> %d (have %d)", src, dst, len(nw.tx)))
 	}
@@ -417,14 +398,6 @@ func (nw *Network) Messages() uint64 {
 	}
 	return n
 }
-
-// MinLookahead returns the minimum latency of any cross-node link — the
-// conservative lookahead window for partitioned (PDES) execution: a
-// message booked at time t cannot affect another node's calendar before
-// t + MinLookahead. A non-positive value (the Ideal profile) means the
-// network provides no usable lookahead and partitioned execution must
-// fall back to the sequential engine.
-func (nw *Network) MinLookahead() float64 { return nw.prof.Latency }
 
 // TXBusy returns the accumulated busy seconds of a node's TX port.
 func (nw *Network) TXBusy(node int) float64 { return nw.tx[node].busy }

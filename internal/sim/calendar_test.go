@@ -5,7 +5,19 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// TestEventSize pins the calendar entry layout: events are stored by value,
+// so every extra word is copied on each sift step of every push and pop.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("sizeof(event) = %d B, want 40", got)
+	}
+}
 
 // oracleHeap is a container/heap reference implementation with the same
 // (time, seq) ordering the calendar promises — the independent oracle the

@@ -408,6 +408,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown network", `{"requests":[{"workload":"cg","network":"token-ring"}]}`, http.StatusBadRequest},
 		{"gpu code on cavium", `{"requests":[{"workload":"hpl","system":"cavium"}]}`, http.StatusBadRequest},
 		{"negative nodes", `{"requests":[{"workload":"cg","nodes":-1}]}`, http.StatusBadRequest},
+		{"empty custom cluster", `{"requests":[{"workload":"cg","cluster":{}}]}`, http.StatusBadRequest},
 		{"oversized batch", `{"requests":[{"workload":"cg"},{"workload":"mg"},{"workload":"ft"}]}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -427,6 +428,15 @@ func TestRequestValidation(t *testing.T) {
 	get.Body.Close()
 	if get.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /simulate: status = %d, want 405", get.StatusCode)
+	}
+	// No rejected request may take the server down with it.
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after rejected requests: status = %d, want 200", health.StatusCode)
 	}
 }
 
