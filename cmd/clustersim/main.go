@@ -92,49 +92,34 @@ func main() {
 	if *traceF != "" {
 		cfg.Traced = true
 	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
-	var res cluster.Result
-	var report *critpath.Report
+	// The run goes through a single-worker run-plane, which validates the
+	// scenario and, with a store attached, decodes a warm entry (including
+	// its persisted critical-path report) instead of simulating.
+	rn := runner.New(1)
+	rn.SetMode(runner.Mode{CritPath: *critP != ""})
 	if *storeD != "" {
-		// The store tier lives in the run-plane, so a stored run goes
-		// through a single-worker runner: a warm entry (including its
-		// persisted critical-path report) decodes instead of simulating.
 		st, err := runner.OpenStore(*storeD)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		rn := runner.New(1)
 		rn.SetStore(st)
-		rn.SetCritPath(*critP != "")
-		rres, err := rn.Run(runner.Scenario{
-			Cluster:  cfg,
-			Workload: w.Name(),
-			Config:   workloads.Config{Scale: *scale},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res = rres.Result
-		report = rres.CritPath
+	}
+	rres, err := rn.Run(runner.Scenario{
+		Cluster:  cfg,
+		Workload: w.Name(),
+		Config:   workloads.Config{Scale: *scale},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	res, report := rres.Result, rres.CritPath
+	if st := rn.Store(); st != nil {
 		rst := rn.Stats()
 		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d writes, %d corrupt (%s, schema %d)\n",
 			rst.StoreHits, rst.StoreMisses, rst.StoreWrites, rst.StoreCorrupt, st.Dir(), st.Schema())
-	} else {
-		cl := cluster.New(cfg)
-		if *critP != "" {
-			cl.RecordCritPath()
-		}
-		res = cl.Run(w.Body(workloads.Config{Scale: *scale}))
-		if *critP != "" {
-			report = critpath.Analyze(cl.CritPath(),
-				fmt.Sprintf("%s on %s", w.Name(), cfg.Name), "", res.Runtime)
-		}
 	}
 
 	if *traceF != "" {

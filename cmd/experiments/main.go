@@ -104,9 +104,7 @@ func main() {
 	o := experiments.DefaultOptions()
 	o.Scale = *scale
 	o.Runner = runner.New(*parallel)
-	o.Runner.SetProfiling(*profile)
-	o.Runner.SetChecking(*check)
-	o.Runner.SetCritPath(*critPath)
+	o.Runner.SetMode(runner.Mode{Profile: *profile, Check: *check, CritPath: *critPath})
 	if *storeDir != "" {
 		st, err := runner.OpenStore(*storeDir)
 		if err != nil {

@@ -64,21 +64,16 @@ func main() {
 		fmt.Println("simcheck: trace audited — timing, ordering, and message matching all consistent")
 	}
 
-	model := dimemas.NetworkModel{
-		IntraBandwidth: network.MemoryPathBandwidth,
-		IntraLatency:   network.MemoryPathLatency,
-	}
+	var model dimemas.NetworkModel
 	switch {
 	case *bw > 0:
-		model.Name = "custom"
-		model.Bandwidth = *bw
-		model.Latency = *lat
+		model = dimemas.NetworkOf(network.Profile{Name: "custom", Throughput: *bw, Latency: *lat})
 	case *netArg == "ideal":
 		model = dimemas.IdealNetwork
 	case *netArg == "1g":
-		model.Name, model.Bandwidth, model.Latency = "1GbE", network.GigE.Throughput, network.GigE.Latency
+		model = dimemas.NetworkOf(network.GigE)
 	default:
-		model.Name, model.Bandwidth, model.Latency = "10GbE", network.TenGigE.Throughput, network.TenGigE.Latency
+		model = dimemas.NetworkOf(network.TenGigE)
 	}
 
 	replayed := dimemas.Replay(t, dimemas.Options{Net: model, IdealLoadBalance: *idealLB, Buses: *buses})

@@ -40,16 +40,15 @@ func main() {
 	}
 	sizes := []int{1, 2, 4, 6, 8}
 	session := core.NewSession(*parallel)
-	session.SetChecking(*check)
-	session.SetProfiling(*profile)
-	session.SetCritPath(*critPath)
+	rn := session.Runner()
+	rn.SetMode(runner.Mode{Profile: *profile, Check: *check, CritPath: *critPath})
 	if *storeDir != "" {
 		st, err := runner.OpenStore(*storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		session.SetStore(st)
+		rn.SetStore(st)
 	}
 	cfg := core.TX1(8, net)
 	res, err := session.Scalability(cfg, *workload, sizes, *scale)
@@ -57,10 +56,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	st := session.Stats()
+	st := rn.Stats()
 	fmt.Fprintf(os.Stderr, "run-plane: %d scenarios submitted, %d simulated, %d duplicates served from cache (%d workers, peak %d in flight, %.1fs simulation wall)\n",
-		st.Submitted, st.Simulated, st.Hits, session.Runner().Workers(), st.MaxInFlight, st.WallSeconds)
-	if ps := session.Runner().Store(); ps != nil {
+		st.Submitted, st.Simulated, st.Hits, rn.Workers(), st.MaxInFlight, st.WallSeconds)
+	if ps := rn.Store(); ps != nil {
 		fmt.Fprintf(os.Stderr, "store: %d hits, %d misses, %d writes, %d corrupt (%s, schema %d)\n",
 			st.StoreHits, st.StoreMisses, st.StoreWrites, st.StoreCorrupt, ps.Dir(), ps.Schema())
 	}
@@ -125,13 +124,13 @@ func main() {
 	}
 	if *profile {
 		writeSidecar("scalability.profile.json", func(f *os.File) error {
-			return obs.WriteProfiles(f, session.Profiles())
-		}, len(session.Profiles()), "profiles")
+			return obs.WriteProfiles(f, rn.Profiles())
+		}, len(rn.Profiles()), "profiles")
 	}
 	if *critPath {
 		writeSidecar("scalability.critpath.json", func(f *os.File) error {
-			return critpath.WriteReports(f, session.CritPathReports())
-		}, len(session.CritPathReports()), "critical-path reports")
+			return critpath.WriteReports(f, rn.Reports())
+		}, len(rn.Reports()), "critical-path reports")
 	}
 }
 

@@ -115,7 +115,7 @@ func TestSessionMemoizesAndMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(first, direct) {
 		t.Error("session result differs from the one-shot core.Run")
 	}
-	st := s.Stats()
+	st := s.Runner().Stats()
 	if st.Submitted != 2 || st.Hits != 1 || st.Simulated != 1 {
 		t.Errorf("stats = %+v, want one simulation and one hit", st)
 	}

@@ -4,13 +4,9 @@ import (
 	"fmt"
 
 	"clustersoc/internal/cluster"
-	"clustersoc/internal/critpath"
 	"clustersoc/internal/dimemas"
-	"clustersoc/internal/network"
-	"clustersoc/internal/obs"
 	"clustersoc/internal/runner"
 	"clustersoc/internal/stats"
-	"clustersoc/internal/store"
 	"clustersoc/internal/workloads"
 )
 
@@ -30,47 +26,15 @@ func NewSession(parallel int) *Session {
 	return &Session{r: runner.New(parallel)}
 }
 
-// NewSessionWith wraps an existing runner — e.g. the one cmd/experiments
-// shares with the figure generators — so Session helpers and generators
-// dedupe against each other.
-func NewSessionWith(r *runner.Runner) *Session { return &Session{r: r} }
-
-// Runner exposes the underlying run-plane (for experiments.Options).
+// Runner exposes the underlying run-plane: its observer Mode, persistent
+// store, accounting, and collected profiles and critical-path reports.
 func (s *Session) Runner() *runner.Runner { return s.r }
-
-// Stats reports the session's cache accounting.
-func (s *Session) Stats() runner.Stats { return s.r.Stats() }
-
-// SetProfiling toggles per-scenario observability profiles on the
-// session's run-plane (see runner.Runner.SetProfiling).
-func (s *Session) SetProfiling(on bool) { s.r.SetProfiling(on) }
-
-// Profiles returns the profiles collected so far, sorted by scenario
-// fingerprint.
-func (s *Session) Profiles() []*obs.Profile { return s.r.Profiles() }
-
-// SetChecking toggles the simcheck physical-invariant audit on the
-// session's run-plane (see runner.Runner.SetChecking).
-func (s *Session) SetChecking(on bool) { s.r.SetChecking(on) }
-
-// SetCritPath toggles causal event-graph recording and critical-path
-// analysis on the session's run-plane (see runner.Runner.SetCritPath).
-func (s *Session) SetCritPath(on bool) { s.r.SetCritPath(on) }
-
-// SetStore attaches a persistent content-addressed result store as the
-// session's second cache tier (see runner.Runner.SetStore). Open one
-// with runner.OpenStore.
-func (s *Session) SetStore(st *store.Store) { s.r.SetStore(st) }
-
-// CritPathReports returns the critical-path reports collected so far,
-// sorted by scenario fingerprint.
-func (s *Session) CritPathReports() []*critpath.Report { return s.r.Reports() }
 
 // NewScenario validates and normalizes a run request into the canonical
 // runner.Scenario exactly the way Session.Run does: the workload must be
 // registered, GPU workloads require a GPU, RanksPerNode is derived from
 // the workload (clamped by the node's core count), and the result must
-// pass cluster.Config.Validate. Front ends that accept serialized
+// pass runner.Scenario.Validate. Front ends that accept serialized
 // requests (cmd/simd) resolve through this so their fingerprints land on
 // the same cache entries the library face warms.
 func NewScenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runner.Scenario, error) {
@@ -90,10 +54,11 @@ func scenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runne
 	if cfg.NodeType.CPU.Cores < cfg.RanksPerNode {
 		cfg.RanksPerNode = cfg.NodeType.CPU.Cores
 	}
-	if err := cfg.Validate(); err != nil {
+	sc := runner.Scenario{Cluster: cfg, Workload: workload, Config: wcfg}
+	if err := sc.Validate(); err != nil {
 		return runner.Scenario{}, err
 	}
-	return runner.Scenario{Cluster: cfg, Workload: workload, Config: wcfg}, nil
+	return sc, nil
 }
 
 // Run executes a workload by name on the system at the given problem
@@ -158,23 +123,13 @@ func (s *Session) Scalability(cfg cluster.Config, workload string, sizes []int, 
 		res := results[i]
 		out.Runtimes = append(out.Runtimes, res.Runtime)
 		if n == sizes[len(sizes)-1] {
-			out.Efficiency = dimemas.Decompose(res.Trace)
-			ideal := dimemas.Replay(res.Trace, dimemas.Options{Net: dimemas.IdealNetwork})
-			lb := dimemas.Replay(res.Trace, dimemas.Options{
-				Net: dimemas.NetworkModel{
-					Name:           cfg.Network.Name,
-					Bandwidth:      cfg.Network.Throughput,
-					Latency:        cfg.Network.Latency,
-					IntraBandwidth: network.MemoryPathBandwidth,
-					IntraLatency:   network.MemoryPathLatency,
-				},
-				IdealLoadBalance: true,
-			})
-			if ideal > 0 {
-				out.IdealNetworkGain = res.Runtime / ideal
+			wi := dimemas.Study(res.Trace, cfg.Network)
+			out.Efficiency = wi.Eff
+			if wi.Eff.TIdeal > 0 {
+				out.IdealNetworkGain = res.Runtime / wi.Eff.TIdeal
 			}
-			if lb > 0 {
-				out.IdealLoadBalanceGain = res.Runtime / lb
+			if wi.IdealLB > 0 {
+				out.IdealLoadBalanceGain = res.Runtime / wi.IdealLB
 			}
 		}
 	}

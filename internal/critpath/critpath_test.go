@@ -40,12 +40,12 @@ func scenario(t *testing.T, workload string, nodes int, net core.NetworkChoice, 
 
 func analyzed(t *testing.T, s runner.Scenario) *critpath.Report {
 	t.Helper()
-	res, err := runner.ExecuteCritPath(s)
+	res, err := runner.Mode{CritPath: true}.Execute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CritPath == nil {
-		t.Fatal("ExecuteCritPath returned no report")
+		t.Fatal("Mode{CritPath: true}.Execute returned no report")
 	}
 	return res.CritPath
 }
@@ -114,7 +114,7 @@ func TestBlameSumsToMakespan(t *testing.T) {
 // model the same limit; the async-kernel workloads legitimately differ).
 func TestIdealNetworkMatchesDimemas(t *testing.T) {
 	s := scenario(t, "cg", 8, core.TenGigE, 0.04, true)
-	res, err := runner.ExecuteCritPath(s)
+	res, err := runner.Mode{CritPath: true}.Execute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRecordingLeavesResultIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := runner.ExecuteCritPath(s)
+	on, err := runner.Mode{CritPath: true}.Execute(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ package dimemas
 import (
 	"fmt"
 
+	"clustersoc/internal/network"
 	"clustersoc/internal/trace"
 )
 
@@ -38,6 +39,19 @@ var IdealNetwork = NetworkModel{
 	Latency:        0,
 	IntraBandwidth: 1e18,
 	IntraLatency:   0,
+}
+
+// NetworkOf is the replay model of a simulated NIC: the profile's
+// inter-node bandwidth and latency, with on-node messages on the memory
+// path the simulator charges them.
+func NetworkOf(prof network.Profile) NetworkModel {
+	return NetworkModel{
+		Name:           prof.Name,
+		Bandwidth:      prof.Throughput,
+		Latency:        prof.Latency,
+		IntraBandwidth: network.MemoryPathBandwidth,
+		IntraLatency:   network.MemoryPathLatency,
+	}
 }
 
 // Options modifies a replay.
@@ -238,6 +252,25 @@ func Decompose(t *trace.Trace) Efficiency {
 	}
 	e.Eta = e.LB * e.Ser * e.Trf
 	return e
+}
+
+// WhatIf is the scalability study of one traced run (Sec. III-B.4): the
+// efficiency decomposition, whose TIdeal is the ideal-network replay, and
+// the ideal-load-balance replay the paper reports beside it.
+type WhatIf struct {
+	Eff Efficiency
+	// IdealLB is the runtime replayed with every phase's compute balanced
+	// across ranks, on the network the trace was measured on.
+	IdealLB float64
+}
+
+// Study runs the efficiency decomposition and the what-if replays of a
+// trace measured on prof.
+func Study(t *trace.Trace, prof network.Profile) WhatIf {
+	return WhatIf{
+		Eff:     Decompose(t),
+		IdealLB: Replay(t, Options{Net: NetworkOf(prof), IdealLoadBalance: true}),
+	}
 }
 
 func clamp01(x float64) float64 {

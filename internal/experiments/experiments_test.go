@@ -482,7 +482,7 @@ func TestReplayIdentityAcrossWorkloads(t *testing.T) {
 			cfg.FileServer = true
 		}
 		res := cluster.New(cfg).Run(w.Body(workloads.Config{Scale: 0.04}))
-		replayed := dimemas.Replay(res.Trace, dimemas.Options{Net: netModel(pair.prof)})
+		replayed := dimemas.Replay(res.Trace, dimemas.Options{Net: dimemas.NetworkOf(pair.prof)})
 		ratio := replayed / res.Runtime
 		if ratio < 0.6 || ratio > 1.2 {
 			t.Errorf("%s on %s: identity replay ratio %.3f", pair.name, pair.prof.Name, ratio)

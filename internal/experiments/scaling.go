@@ -8,17 +8,6 @@ import (
 	"clustersoc/internal/workloads"
 )
 
-// netModel converts a NIC profile into the DIMEMAS-style replay network.
-func netModel(prof network.Profile) dimemas.NetworkModel {
-	return dimemas.NetworkModel{
-		Name:           prof.Name,
-		Bandwidth:      prof.Throughput,
-		Latency:        prof.Latency,
-		IntraBandwidth: network.MemoryPathBandwidth,
-		IntraLatency:   network.MemoryPathLatency,
-	}
-}
-
 // ScalingCurve is one workload's strong-scaling study (Fig. 5 / Fig. 6).
 type ScalingCurve struct {
 	Workload string
@@ -81,13 +70,10 @@ func scalingFor(ws []workloads.Workload, o Options) *Scaling {
 			c.Runtime1G = append(c.Runtime1G, r1.Runtime)
 			c.Runtime10G = append(c.Runtime10G, r10.Runtime)
 
-			tr := r10.Trace
-			c.IdealNet = append(c.IdealNet, dimemas.Replay(tr, dimemas.Options{Net: dimemas.IdealNetwork}))
-			c.IdealLB = append(c.IdealLB, dimemas.Replay(tr, dimemas.Options{
-				Net:              netModel(network.TenGigE),
-				IdealLoadBalance: true,
-			}))
-			c.Eff = append(c.Eff, dimemas.Decompose(tr))
+			wi := dimemas.Study(r10.Trace, network.TenGigE)
+			c.IdealNet = append(c.IdealNet, wi.Eff.TIdeal)
+			c.IdealLB = append(c.IdealLB, wi.IdealLB)
+			c.Eff = append(c.Eff, wi.Eff)
 		}
 		c.Fit1G, _ = stats.FitScaling(sizes, c.Runtime1G)
 		c.Fit10G, _ = stats.FitScaling(sizes, c.Runtime10G)
@@ -137,12 +123,9 @@ func (s *Scaling) AverageR2() float64 {
 // largest measured size.
 func (s *Scaling) AverageIdealNetGain() float64 {
 	sum := 0.0
-	last := 0
 	for _, c := range s.Curves {
-		last = len(c.Nodes) - 1
-		sum += c.IdealNetGain(last)
+		sum += c.IdealNetGain(len(c.Nodes) - 1)
 	}
-	_ = last
 	return sum / float64(len(s.Curves))
 }
 

@@ -23,7 +23,7 @@ func TestCheckedExecutionByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, err := ExecuteChecked(s)
+		checked, err := Mode{Check: true}.Execute(s)
 		if err != nil {
 			t.Fatalf("%s/%d failed its audit: %v", s.Workload, s.Cluster.Nodes, err)
 		}
@@ -31,7 +31,7 @@ func TestCheckedExecutionByteIdentical(t *testing.T) {
 	}
 
 	r := New(2)
-	r.SetChecking(true)
+	r.SetMode(Mode{Check: true})
 	results, err := r.RunAll(scenarios)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestCheckedExecutionByteIdentical(t *testing.T) {
 // fingerprint, not once per submission.
 func TestAuditOncePerFingerprint(t *testing.T) {
 	r := New(2)
-	r.SetChecking(true)
+	r.SetMode(Mode{Check: true})
 	s := tinyScenario("cg", 2, network.GigE)
 	if _, err := r.Run(s); err != nil {
 		t.Fatal(err)
@@ -67,18 +67,18 @@ func TestAuditOncePerFingerprint(t *testing.T) {
 // points at the offending run.
 func TestCheckedFailureNamesScenario(t *testing.T) {
 	r := New(1)
-	r.SetChecking(true)
+	r.SetMode(Mode{Check: true})
 	s := tinyScenario("hpl", 2, network.GigE)
 	sawChecked := false
-	r.exec = func(s Scenario, _, checked, _ bool) (Result, error) {
-		sawChecked = checked
-		return defaultExec(s, false, checked, false)
+	r.exec = func(s Scenario, m Mode) (Result, error) {
+		sawChecked = m.Check
+		return m.Execute(s)
 	}
 	if _, err := r.Run(s); err != nil {
 		t.Fatal(err)
 	}
 	if !sawChecked {
-		t.Fatal("SetChecking(true) did not reach the executor")
+		t.Fatal("SetMode(Mode{Check: true}) did not reach the executor")
 	}
 	// And the real executor wraps violations with the scenario name: drive
 	// it through a scenario that cannot exist to confirm the plumbing

@@ -11,10 +11,12 @@ import (
 	"clustersoc/internal/network"
 )
 
-// TestProfilingDoesNotChangeResults is the observability layer's hard
-// guarantee: enabling instrumentation must not move a single simulated
-// byte. It compares a plain Execute against ExecuteProfiled on a real
-// simulation, both as Go values and as marshalled artifact JSON.
+// TestProfilingDoesNotChangeResults is the observer layer's hard
+// guarantee, over every Mode: attaching profiling, the simcheck audit,
+// critical-path recording, or any combination must not move a single
+// simulated byte. Each Mode.Execute is compared against a plain Execute
+// on a real simulation, as marshalled artifact JSON and as Go values,
+// and carries exactly the observer records its flags ask for.
 func TestProfilingDoesNotChangeResults(t *testing.T) {
 	for _, sc := range []Scenario{
 		tinyScenario("hpl", 2, network.GigE),
@@ -24,31 +26,34 @@ func TestProfilingDoesNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		profiled, err := ExecuteProfiled(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if profiled.Profile == nil {
-			t.Fatalf("%s: ExecuteProfiled returned no profile", sc.Workload)
-		}
-
-		// Artifact JSON is byte-identical: Profile is json:"-".
 		pb, err := json.Marshal(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qb, err := json.Marshal(profiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pb, qb) {
-			t.Fatalf("%s: artifact JSON differs with profiling enabled", sc.Workload)
-		}
+		for bits := 0; bits < 8; bits++ {
+			m := Mode{Profile: bits&1 != 0, Check: bits&2 != 0, CritPath: bits&4 != 0}
+			got, err := m.Execute(sc)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", sc.Workload, m, err)
+			}
+			if (got.Profile != nil) != m.Profile || (got.CritPath != nil) != m.CritPath {
+				t.Fatalf("%s %+v: profile %v, critpath %v", sc.Workload, m, got.Profile != nil, got.CritPath != nil)
+			}
 
-		// And the in-memory simulated values match exactly.
-		profiled.Profile = nil
-		if !reflect.DeepEqual(plain, profiled) {
-			t.Fatalf("%s: Result differs with profiling enabled", sc.Workload)
+			// Artifact JSON is byte-identical: Profile and CritPath are json:"-".
+			qb, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pb, qb) {
+				t.Fatalf("%s %+v: artifact JSON differs from Execute", sc.Workload, m)
+			}
+
+			// And the in-memory simulated values match exactly.
+			got.Profile, got.CritPath = nil, nil
+			if !reflect.DeepEqual(plain, got) {
+				t.Fatalf("%s %+v: Result differs from Execute", sc.Workload, m)
+			}
 		}
 	}
 }
@@ -57,11 +62,11 @@ func TestProfilingDoesNotChangeResults(t *testing.T) {
 // the simulated section is byte-identical; only the wall section may vary.
 func TestProfileSimSectionDeterministic(t *testing.T) {
 	sc := tinyScenario("hpl", 2, network.TenGigE)
-	a, err := ExecuteProfiled(sc)
+	a, err := Mode{Profile: true}.Execute(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteProfiled(sc)
+	b, err := Mode{Profile: true}.Execute(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +101,7 @@ func TestProfileSimSectionDeterministic(t *testing.T) {
 // result's profile rather than re-simulating or re-profiling.
 func TestCachedProfileShared(t *testing.T) {
 	r := New(2)
-	r.SetProfiling(true)
+	r.SetMode(Mode{Profile: true})
 	sc := tinyScenario("hpl", 2, network.GigE)
 	a, err := r.Run(sc)
 	if err != nil {
@@ -121,7 +126,7 @@ func TestCachedProfileShared(t *testing.T) {
 
 func TestProfilesSortedByFingerprint(t *testing.T) {
 	r := New(2)
-	r.SetProfiling(true)
+	r.SetMode(Mode{Profile: true})
 	scs := []Scenario{
 		tinyScenario("hpl", 4, network.TenGigE),
 		tinyScenario("hpl", 2, network.GigE),

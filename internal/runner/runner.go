@@ -70,6 +70,31 @@ func (s Scenario) Fingerprint() string {
 	return b.String()
 }
 
+// Validate reports whether s can run: every workload it names is
+// registered, the cluster passes cluster.Config.Validate, and every
+// workload configuration passes workloads.Config.Validate. It is the one
+// check every front end shares; Mode.Execute applies it too.
+func (s Scenario) Validate() error {
+	if _, err := workloads.ByName(s.Workload); err != nil {
+		return err
+	}
+	if err := s.Cluster.Validate(); err != nil {
+		return err
+	}
+	if err := s.Config.Validate(); err != nil {
+		return err
+	}
+	for _, j := range s.Colocated {
+		if _, err := workloads.ByName(j.Workload); err != nil {
+			return err
+		}
+		if err := j.Config.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Result is a scenario's measurements. Cached results are shared between
 // duplicate submissions — treat them (including the PerNode slice and
 // the Trace) as immutable.
@@ -81,15 +106,15 @@ type Result struct {
 	// tallies its simultaneous hpl runs.
 	JobThroughputs []float64
 	// Profile is the scenario's observability snapshot, present only when
-	// the Runner (or ExecuteProfiled) ran with profiling enabled. It is
-	// excluded from JSON so result artifacts are byte-identical with and
-	// without profiling; sidecar files carry profiles instead. Cached
-	// results share one Profile — treat it as immutable.
+	// it ran with Mode.Profile set. It is excluded from JSON so result
+	// artifacts are byte-identical with and without profiling; sidecar
+	// files carry profiles instead. Cached results share one Profile —
+	// treat it as immutable.
 	Profile *obs.Profile `json:"-"`
 	// CritPath is the scenario's critical-path analysis, present only when
-	// the Runner (or ExecuteCritPath) ran with recording enabled. Like
-	// Profile it is excluded from JSON — *.critpath.json sidecars carry
-	// reports — and shared between cached results: treat it as immutable.
+	// it ran with Mode.CritPath set. Like Profile it is excluded from JSON
+	// — *.critpath.json sidecars carry reports — and shared between cached
+	// results: treat it as immutable.
 	CritPath *critpath.Report `json:"-"`
 }
 
@@ -105,7 +130,7 @@ type Stats struct {
 	// Simulated counts distinct scenarios actually executed.
 	Simulated int
 	// Audited counts executed scenarios that passed the simcheck
-	// physical-invariant audit (SetChecking). Memoization means each
+	// physical-invariant audit (Mode.Check). Memoization means each
 	// fingerprint is audited at most once per cache lifetime.
 	Audited int
 	// WallSeconds accumulates the host wall time of every executed
@@ -126,7 +151,7 @@ type Stats struct {
 	StoreHits int
 	// StoreMisses counts store lookups that found no servable entry (no
 	// entry, a corrupt one, or one missing a requested profile/critpath
-	// record). Lookups are bypassed entirely under SetChecking — the
+	// record). Lookups are bypassed entirely under Mode.Check — the
 	// audit needs a live simulation — and those do not count.
 	StoreMisses int
 	// StoreWrites counts entries this Runner persisted.
@@ -200,15 +225,13 @@ type Runner struct {
 	workers int
 	sem     chan struct{}
 	// exec runs one scenario; tests substitute it to control timing.
-	exec func(s Scenario, profiled, checked, critpathOn bool) (Result, error)
+	exec func(s Scenario, m Mode) (Result, error)
 
-	mu        sync.Mutex
-	cache     map[string]*entry
-	stats     Stats
-	profiling bool
-	checking  bool
-	critpath  bool
-	inFlight  int
+	mu       sync.Mutex
+	cache    map[string]*entry
+	stats    Stats
+	mode     Mode
+	inFlight int
 	// store is the optional persistent second tier (SetStore): lookups
 	// fall through the in-memory map to it, executions persist into it.
 	store *store.Store
@@ -230,61 +253,23 @@ func New(workers int) *Runner {
 	return &Runner{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		exec:    defaultExec,
+		exec:    func(s Scenario, m Mode) (Result, error) { return m.Execute(s) },
 		cache:   map[string]*entry{},
 	}
-}
-
-// defaultExec is the Runner's executor: Execute, or ExecuteProfiled when
-// the run-plane has profiling enabled, with the simcheck audit and
-// critical-path recording threaded through when enabled.
-func defaultExec(s Scenario, profiled, checked, critpathOn bool) (Result, error) {
-	if profiled {
-		return executeProfiled(s, checked, critpathOn)
-	}
-	return execute(s, nil, checked, critpathOn)
 }
 
 // Workers returns the worker-pool bound.
 func (r *Runner) Workers() int { return r.workers }
 
-// SetProfiling toggles per-scenario observability profiles. Enable it
-// before submitting work: scenarios simulated while profiling is off are
-// cached without a profile, and later duplicate submissions are served
-// from that cache as-is. Profiling never changes simulation results —
-// profiled and unprofiled runs of one scenario produce byte-identical
-// Result values (locked in by this package's determinism tests).
-func (r *Runner) SetProfiling(on bool) {
+// SetMode selects the observers attached to subsequently executed
+// scenarios. Set it before submitting work: it applies per execution, so
+// scenarios already cached keep whatever they were (or were not)
+// observed with, and later duplicate submissions are served from that
+// cache as-is. No Mode changes a simulation result.
+func (r *Runner) SetMode(m Mode) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.profiling = on
-}
-
-// SetChecking toggles the simcheck physical-invariant audit for
-// subsequently executed scenarios: each simulation is validated after it
-// finishes (flow conservation at every port, send/receive balance in
-// every communicator, port-utilization sanity), and a violation fails
-// the scenario with the full diagnostic list. The audit is read-only and
-// post-run, so results stay byte-identical with checking on — a property
-// locked in by this package's determinism tests. Like SetProfiling it
-// applies per execution: scenarios already cached are not re-audited.
-func (r *Runner) SetChecking(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checking = on
-}
-
-// SetCritPath toggles causal event-graph recording and critical-path
-// analysis for subsequently executed scenarios (cluster.RecordCritPath +
-// critpath.Analyze). Recording is passive — a recorded run's Result is
-// byte-identical to an unrecorded one, a property locked in by this
-// package's determinism tests. Like SetProfiling it applies per
-// execution: scenarios already cached keep whatever they were (or were
-// not) recorded with.
-func (r *Runner) SetCritPath(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.critpath = on
+	r.mode = m
 }
 
 // Reports returns the critical-path reports of every completed,
@@ -364,21 +349,24 @@ func (r *Runner) RunTracked(s Scenario) (Result, Outcome, error) {
 	r.mu.Unlock()
 
 	r.sem <- struct{}{} // acquire a worker slot
+	defer func() {
+		<-r.sem
+		close(e.done)
+	}()
 	r.mu.Lock()
-	profiled, checked, critpathOn := r.profiling, r.checking, r.critpath
-	st := r.store
+	m, st := r.mode, r.store
 	r.mu.Unlock()
-	e.res, e.source, e.err = r.runTiered(s, fp, st, profiled, checked, critpathOn)
-	<-r.sem
-	close(e.done)
+	e.res, e.source, e.err = r.runTiered(s, fp, st, m)
 	return e.res, Outcome{Source: e.source}, e.err
 }
 
 // executeCounted runs one scenario through the executor with the
 // worker-occupancy, audit, and wall accounting attached. Only actual
 // executions pass through here — cache and store hits never do, so
-// Stats.Simulated counts simulations, not submissions.
-func (r *Runner) executeCounted(s Scenario, profiled, checked, critpathOn bool) (Result, error) {
+// Stats.Simulated counts simulations, not submissions. A panic in the
+// workload body or the engine becomes the scenario's error, so the
+// entry's joiners see it instead of waiting forever.
+func (r *Runner) executeCounted(s Scenario, m Mode) (res Result, err error) {
 	r.mu.Lock()
 	r.stats.Simulated++
 	r.inFlight++
@@ -387,16 +375,20 @@ func (r *Runner) executeCounted(s Scenario, profiled, checked, critpathOn bool) 
 	}
 	r.mu.Unlock()
 	start := time.Now()
-	res, err := r.exec(s, profiled, checked, critpathOn)
-	wall := time.Since(start).Seconds()
-	r.mu.Lock()
-	r.inFlight--
-	if checked && err == nil {
-		r.stats.Audited++
-	}
-	r.stats.WallSeconds += wall
-	r.mu.Unlock()
-	return res, err
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = Result{}, fmt.Errorf("runner: scenario %q on %q panicked: %v", s.Workload, s.Cluster.Name, p)
+		}
+		wall := time.Since(start).Seconds()
+		r.mu.Lock()
+		r.inFlight--
+		if m.Check && err == nil {
+			r.stats.Audited++
+		}
+		r.stats.WallSeconds += wall
+		r.mu.Unlock()
+	}()
+	return r.exec(s, m)
 }
 
 // RunAll executes a batch. Distinct scenarios run concurrently up to the
@@ -425,95 +417,78 @@ func (r *Runner) RunAll(scenarios []Scenario) ([]Result, error) {
 	return results, nil
 }
 
-// Execute runs one scenario directly — no cache, no pool, no profiling,
-// no audit. It is the reference implementation the determinism tests
-// compare against.
+// Mode selects the observers attached to an execution; the zero Mode is
+// the plain simulation. Observers only read the simulation, so every
+// Mode yields a Result whose JSON is byte-identical to Execute's — a
+// property locked in by this package's determinism tests.
+type Mode struct {
+	// Profile attaches observability: Result.Profile carries the run's
+	// full simulated metric snapshot plus host wall time.
+	Profile bool
+	// Check arms simcheck: match-time validation before spawning, and an
+	// audit of the finished run against its physical invariants (flow
+	// conservation at every port, send/receive balance in every
+	// communicator, port-utilization sanity). A violation fails the run
+	// with the full diagnostic list.
+	Check bool
+	// CritPath records the causal event graph: Result.CritPath carries
+	// the critical-path report (blame breakdown, what-if bounds, the
+	// critical path itself).
+	CritPath bool
+}
+
+// Execute runs one scenario directly — no cache, no pool, no observers.
+// It is the reference implementation the determinism tests compare
+// against.
 func Execute(s Scenario) (Result, error) {
-	return execute(s, nil, false, false)
+	return Mode{}.Execute(s)
 }
 
-// ExecuteChecked is Execute with the simcheck physical-invariant audit:
-// the finished simulation is validated and a violation fails the run
-// with the full diagnostic list. The Result is byte-identical to
-// Execute's — the audit only reads the finished cluster.
-func ExecuteChecked(s Scenario) (Result, error) {
-	return execute(s, nil, true, false)
-}
-
-// ExecuteProfiled is Execute with observability attached: the returned
-// Result carries a Profile holding the run's full simulated metric
-// snapshot plus host wall time. The simulation itself is unchanged —
-// everything but the Profile field is byte-identical to Execute's.
-func ExecuteProfiled(s Scenario) (Result, error) {
-	return executeProfiled(s, false, false)
-}
-
-// ExecuteCritPath is Execute with causal event-graph recording: the
-// returned Result carries a CritPath report (blame breakdown, what-if
-// bounds, the critical path itself). The simulation is unchanged —
-// everything but the CritPath field is byte-identical to Execute's.
-func ExecuteCritPath(s Scenario) (Result, error) {
-	return execute(s, nil, false, true)
-}
-
-func executeProfiled(s Scenario, checked, critpathOn bool) (Result, error) {
-	reg := obs.NewRegistry()
+// Execute runs one scenario directly — no cache, no pool — with m's
+// observers attached.
+func (m Mode) Execute(s Scenario) (Result, error) {
+	if err := s.Validate(); err != nil {
+		return Result{}, err
+	}
 	start := time.Now()
-	res, err := execute(s, reg, checked, critpathOn)
-	wall := time.Since(start).Seconds()
-	if err != nil {
-		return res, err
-	}
-	res.Profile = &obs.Profile{
-		Scenario:    fmt.Sprintf("%s on %s", s.Workload, s.Cluster.Name),
-		Fingerprint: s.Fingerprint(),
-		Sim:         reg.Snapshot(),
-		Wall:        &obs.WallStats{Note: obs.WallNote, Seconds: wall},
-	}
-	return res, nil
-}
-
-// execute runs one scenario, attaching reg (may be nil) to the cluster
-// before any rank spawns. With checked, match-time validation is armed
-// before spawning and the finished run is audited against its physical
-// invariants; with critpathOn, the causal event graph is recorded and
-// analyzed after the run. Neither alters the simulation.
-func execute(s Scenario, reg *obs.Registry, checked, critpathOn bool) (Result, error) {
-	w, err := workloads.ByName(s.Workload)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.Cluster.Validate(); err != nil {
-		return Result{}, err
+	var reg *obs.Registry
+	if m.Profile {
+		reg = obs.NewRegistry()
 	}
 	cl := cluster.New(s.Cluster)
 	cl.Instrument(reg)
-	if checked {
+	if m.Check {
 		cl.EnableChecking()
 	}
-	if critpathOn {
+	if m.CritPath {
 		cl.RecordCritPath()
 	}
+	w, _ := workloads.ByName(s.Workload)
 	jobs := []*cluster.Job{cl.Spawn(w.Body(s.Config))}
 	for _, j := range s.Colocated {
-		wj, err := workloads.ByName(j.Workload)
-		if err != nil {
-			return Result{}, err
-		}
+		wj, _ := workloads.ByName(j.Workload)
 		jobs = append(jobs, cl.SpawnWith(j.RanksPerNode, wj.Body(j.Config)))
 	}
 	res := Result{Result: cl.Finish()}
 	for _, j := range jobs {
 		res.JobThroughputs = append(res.JobThroughputs, j.Throughput())
 	}
-	if checked {
+	name := fmt.Sprintf("%s on %s", s.Workload, s.Cluster.Name)
+	if m.Check {
 		if err := simcheck.Error(simcheck.AuditCluster(cl, res.Result)); err != nil {
 			return res, fmt.Errorf("scenario %q on %q failed its audit: %w", s.Workload, s.Cluster.Name, err)
 		}
 	}
-	if critpathOn {
-		res.CritPath = critpath.Analyze(cl.CritPath(),
-			fmt.Sprintf("%s on %s", s.Workload, s.Cluster.Name), s.Fingerprint(), res.Runtime)
+	if m.CritPath {
+		res.CritPath = critpath.Analyze(cl.CritPath(), name, s.Fingerprint(), res.Runtime)
+	}
+	if m.Profile {
+		res.Profile = &obs.Profile{
+			Scenario:    name,
+			Fingerprint: s.Fingerprint(),
+			Sim:         reg.Snapshot(),
+			Wall:        &obs.WallStats{Note: obs.WallNote, Seconds: time.Since(start).Seconds()},
+		}
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,7 +33,7 @@ func tinyScenario(workload string, nodes int, prof network.Profile) Scenario {
 // no simulation, controlled timing.
 func stubRunner(workers int, exec func(Scenario) (Result, error)) *Runner {
 	r := New(workers)
-	r.exec = func(s Scenario, _, _, _ bool) (Result, error) { return exec(s) }
+	r.exec = func(s Scenario, _ Mode) (Result, error) { return exec(s) }
 	return r
 }
 
@@ -196,6 +197,41 @@ func TestRunAllReportsFirstErrorInSubmissionOrder(t *testing.T) {
 	_, err := r.RunAll(scenarios)
 	if err == nil || err.Error() != "boom at 2 nodes" {
 		t.Errorf("err = %v, want the first failing submission's error (boom at 2 nodes)", err)
+	}
+}
+
+// TestPanicFailsItsFingerprint: a panic in a workload body or the engine
+// becomes the submission's error, and the entry and its worker slot are
+// released, so a later submission of the same fingerprint returns that
+// error instead of blocking, and other scenarios still get a worker.
+func TestPanicFailsItsFingerprint(t *testing.T) {
+	r := stubRunner(1, func(s Scenario) (Result, error) {
+		if s.Cluster.Nodes == 2 {
+			panic("boom")
+		}
+		return Result{}, nil
+	})
+	sc := tinyScenario("ep", 2, network.GigE)
+	_, first := r.Run(sc)
+	if first == nil || !strings.Contains(first.Error(), "boom") {
+		t.Fatalf("first Run err = %v, want the panic as an error", first)
+	}
+	done := make(chan error, 2)
+	go func() {
+		_, err := r.Run(sc)
+		done <- err
+		_, err = r.Run(tinyScenario("ep", 1, network.GigE))
+		done <- err
+	}()
+	for i, want := range []error{first, nil} {
+		select {
+		case err := <-done:
+			if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+				t.Fatalf("Run %d after the panic: err = %v, want %v", i+2, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Run %d after the panic blocked", i+2)
+		}
 	}
 }
 

@@ -105,10 +105,10 @@ func decodeStored(data []byte, fp string) (*storedEntry, error) {
 // served from the store only when the entry carries the corresponding
 // record, and an execution forced by a missing record rewrites the
 // entry with the record added (read-merge keeps the other one).
-func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, checked, critpathOn bool) (Result, string, error) {
+func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, m Mode) (Result, string, error) {
 	var release func()
 	if st != nil {
-		if res, ok := r.tryLoad(st, fp, profiled, checked, critpathOn, false); ok {
+		if res, ok := r.tryLoad(st, fp, m, false); ok {
 			return res, SourceStore, nil
 		}
 		// Cross-process singleflight: take the key's lock, or wait for
@@ -133,7 +133,7 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 				release = rel
 				// Another process may have persisted and released between
 				// our first load and the lock; serve that entry.
-				if res, ok := r.tryLoad(st, fp, profiled, checked, critpathOn, true); ok {
+				if res, ok := r.tryLoad(st, fp, m, true); ok {
 					release()
 					return res, SourceStore, nil
 				}
@@ -145,7 +145,7 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 			if !st.WaitUnlocked(fp, deadline) {
 				break // stuck or stale holder: simulate without the lock
 			}
-			if res, ok := r.tryLoad(st, fp, profiled, checked, critpathOn, true); ok {
+			if res, ok := r.tryLoad(st, fp, m, true); ok {
 				return res, SourceStore, nil
 			}
 			if !st.Locked(fp) {
@@ -156,7 +156,7 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 			}
 		}
 	}
-	res, err := r.executeCounted(s, profiled, checked, critpathOn)
+	res, err := r.executeCounted(s, m)
 	if err == nil && st != nil {
 		r.persist(st, fp, res, release != nil)
 	}
@@ -172,8 +172,8 @@ func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, profiled, che
 // rewrite repairs the entry). A quiet load is a singleflight re-check:
 // it never counts a miss — the submission already counted one — and
 // reads through Peek so the store's own counters stay per-submission.
-func (r *Runner) tryLoad(st *store.Store, fp string, profiled, checked, critpathOn, quiet bool) (Result, bool) {
-	if checked {
+func (r *Runner) tryLoad(st *store.Store, fp string, m Mode, quiet bool) (Result, bool) {
+	if m.Check {
 		return Result{}, false
 	}
 	var data []byte
@@ -206,7 +206,7 @@ func (r *Runner) tryLoad(st *store.Store, fp string, profiled, checked, critpath
 		r.mu.Unlock()
 		return Result{}, false
 	}
-	if (profiled && e.Profile == nil) || (critpathOn && e.CritPath == nil) {
+	if (m.Profile && e.Profile == nil) || (m.CritPath && e.CritPath == nil) {
 		// The entry predates the requested observer record; simulate with
 		// the observer attached and upgrade the entry.
 		if !quiet {

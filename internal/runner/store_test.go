@@ -262,7 +262,7 @@ func TestStoreTierWithProfiling(t *testing.T) {
 
 	prof := New(1)
 	prof.SetStore(openStore(t, dir))
-	prof.SetProfiling(true)
+	prof.SetMode(Mode{Profile: true})
 	res, err := prof.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestStoreTierWithProfiling(t *testing.T) {
 	// included — the -profile warm replay is free.
 	prof2 := New(1)
 	prof2.SetStore(openStore(t, dir))
-	prof2.SetProfiling(true)
+	prof2.SetMode(Mode{Profile: true})
 	res2, err := prof2.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -307,14 +307,14 @@ func TestStoreTierWithCritPath(t *testing.T) {
 
 	prof := New(1)
 	prof.SetStore(openStore(t, dir))
-	prof.SetProfiling(true)
+	prof.SetMode(Mode{Profile: true})
 	if _, err := prof.Run(sc); err != nil {
 		t.Fatal(err)
 	}
 
 	cp := New(1)
 	cp.SetStore(openStore(t, dir))
-	cp.SetCritPath(true)
+	cp.SetMode(Mode{CritPath: true})
 	res, err := cp.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -329,8 +329,7 @@ func TestStoreTierWithCritPath(t *testing.T) {
 	// The upgrade merged: one entry now carries profile AND report.
 	both := New(1)
 	both.SetStore(openStore(t, dir))
-	both.SetProfiling(true)
-	both.SetCritPath(true)
+	both.SetMode(Mode{Profile: true, CritPath: true})
 	res2, err := both.Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -356,14 +355,14 @@ func TestStoreTierWithChecking(t *testing.T) {
 
 	prof := New(1)
 	prof.SetStore(openStore(t, dir))
-	prof.SetProfiling(true)
+	prof.SetMode(Mode{Profile: true})
 	if _, err := prof.Run(sc); err != nil {
 		t.Fatal(err)
 	}
 
 	chk := New(1)
 	chk.SetStore(openStore(t, dir))
-	chk.SetChecking(true)
+	chk.SetMode(Mode{Check: true})
 	if _, err := chk.Run(sc); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +380,7 @@ func TestStoreTierWithChecking(t *testing.T) {
 	// The checked rewrite kept the stored profile.
 	prof2 := New(1)
 	prof2.SetStore(openStore(t, dir))
-	prof2.SetProfiling(true)
+	prof2.SetMode(Mode{Profile: true})
 	res, err := prof2.Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -189,12 +189,12 @@ func TestPersistUnderKeyLockMergesPrior(t *testing.T) {
 // entries in these tests round-trip through the full schema.
 func mustReport(t *testing.T, sc Scenario) *critpath.Report {
 	t.Helper()
-	res, err := ExecuteCritPath(sc)
+	res, err := Mode{CritPath: true}.Execute(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CritPath == nil {
-		t.Fatal("ExecuteCritPath returned no report")
+		t.Fatal("Mode{CritPath: true}.Execute returned no report")
 	}
 	return res.CritPath
 }

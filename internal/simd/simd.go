@@ -172,6 +172,9 @@ func (q Request) Resolve() (runner.Scenario, error) {
 	if q.Faults != nil {
 		sc.Cluster.Faults = q.Faults
 	}
+	if err := sc.Validate(); err != nil {
+		return runner.Scenario{}, err
+	}
 	return sc, nil
 }
 

@@ -409,6 +409,8 @@ func TestRequestValidation(t *testing.T) {
 		{"gpu code on cavium", `{"requests":[{"workload":"hpl","system":"cavium"}]}`, http.StatusBadRequest},
 		{"negative nodes", `{"requests":[{"workload":"cg","nodes":-1}]}`, http.StatusBadRequest},
 		{"empty custom cluster", `{"requests":[{"workload":"cg","cluster":{}}]}`, http.StatusBadRequest},
+		{"negative scale", `{"requests":[{"workload":"cg","scale":-1}]}`, http.StatusBadRequest},
+		{"negative gpu_work_ratio", `{"requests":[{"workload":"hpl","gpu_work_ratio":-2}]}`, http.StatusBadRequest},
 		{"oversized batch", `{"requests":[{"workload":"cg"},{"workload":"mg"},{"workload":"ft"}]}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

@@ -8,6 +8,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"clustersoc/internal/cluster"
@@ -31,6 +32,21 @@ type Config struct {
 	// keeps memory per node constant) — the regime Tibidabo reported its
 	// MFLOPS/W under (Sec. II-A), versus the paper's strong-scaling runs.
 	WeakScaling bool
+}
+
+// Validate rejects knob values the bodies would otherwise fold onto the
+// paper-sized default: Scale and GPUWorkRatio must lie in [0, 1], where
+// zero means the default. NaN and ±Inf are rejected.
+func (c Config) Validate() error {
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{{"scale", c.Scale}, {"GPU work ratio", c.GPUWorkRatio}} {
+		if math.IsNaN(k.v) || k.v < 0 || k.v > 1 {
+			return fmt.Errorf("workloads: %s %g outside [0, 1]", k.name, k.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) scale() float64 {

@@ -224,3 +224,18 @@ func TestConfigKeyCanonicalizesDefaults(t *testing.T) {
 		seen[c.Key()] = true
 	}
 }
+
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []Config{{}, {Scale: 1, GPUWorkRatio: 1}, {Scale: 0.01, GPUWorkRatio: 0.5}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+	for _, v := range []float64{-1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []Config{{Scale: v}, {GPUWorkRatio: v}} {
+			if c.Validate() == nil {
+				t.Errorf("%+v accepted", c)
+			}
+		}
+	}
+}
