@@ -68,9 +68,15 @@ func (c Config) Fingerprint() string {
 	return string(b)
 }
 
+// MaxRanks bounds a config's MPI ranks in total (Nodes × RanksPerNode),
+// which New allocates one by one. The paper's largest systems are 16
+// nodes and 32 ranks.
+const MaxRanks = 4096
+
 // Validate reports whether New can assemble the config: at least one
-// node, at least one CPU core per node, and at least one rank per node.
-// It is the one check every front end shares before a run.
+// node, at least one CPU core per node, at least one rank per node, and
+// at most MaxRanks ranks in total. It is the one check every front end
+// shares before a run.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes < 1:
@@ -79,6 +85,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: node type %q needs at least one CPU core, got %d", c.NodeType.Name, c.NodeType.CPU.Cores)
 	case c.RanksPerNode < 1:
 		return fmt.Errorf("cluster: need at least one rank per node, got %d", c.RanksPerNode)
+	case c.RanksPerNode > MaxRanks/c.Nodes: // Nodes × RanksPerNode > MaxRanks, without overflow
+		return fmt.Errorf("cluster: %d nodes × %d ranks per node exceeds %d ranks", c.Nodes, c.RanksPerNode, MaxRanks)
 	}
 	return nil
 }

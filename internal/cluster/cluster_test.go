@@ -36,10 +36,19 @@ func TestConfigValidate(t *testing.T) {
 	noNodes.Nodes = 0
 	noCores.NodeType.CPU.Cores = 0
 	noRanks.RanksPerNode = 0
-	for name, cfg := range map[string]Config{"nodes": noNodes, "cores": noCores, "ranks": noRanks, "zero": {}} {
+	hugeNodes, hugeRanks, overflow := ok, CaviumServer(1<<30), ok
+	hugeNodes.Nodes = 1 << 30
+	overflow.Nodes, overflow.RanksPerNode = 1<<62, 1<<62
+	for name, cfg := range map[string]Config{"nodes": noNodes, "cores": noCores, "ranks": noRanks, "zero": {},
+		"huge nodes": hugeNodes, "huge ranks": hugeRanks, "overflowing product": overflow} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, cfg)
 		}
+	}
+	atBound := CaviumServer(1)
+	atBound.Nodes, atBound.RanksPerNode = 64, MaxRanks/64
+	if err := atBound.Validate(); err != nil {
+		t.Fatalf("a config with exactly MaxRanks ranks was rejected: %v", err)
 	}
 }
 

@@ -14,8 +14,8 @@
 // in the style of gorgonia-mps's MPSEng-vs-StdEng dispatch.
 //
 // The seam makes "which engine executed this kernel" a scenario
-// parameter: cmd/experiments and cmd/roofline select a backend with
-// -backend, tests select one with the CLUSTERSOC_BACKEND environment
+// parameter: cmd/roofline selects a backend with -backend, tests
+// select one with the CLUSTERSOC_BACKEND environment
 // variable, and internal/perf places measured host kernels from either
 // engine on the modeled roofline.
 package compute

@@ -71,8 +71,9 @@ func (s Scenario) Fingerprint() string {
 }
 
 // Validate reports whether s can run: every workload it names is
-// registered, the cluster passes cluster.Config.Validate, and every
-// workload configuration passes workloads.Config.Validate. It is the one
+// registered, the cluster passes cluster.Config.Validate, every
+// colocated job keeps within cluster.MaxRanks too, and every workload
+// configuration passes workloads.Config.Validate. It is the one
 // check every front end shares; Mode.Execute applies it too.
 func (s Scenario) Validate() error {
 	if _, err := workloads.ByName(s.Workload); err != nil {
@@ -87,6 +88,10 @@ func (s Scenario) Validate() error {
 	for _, j := range s.Colocated {
 		if _, err := workloads.ByName(j.Workload); err != nil {
 			return err
+		}
+		if limit := cluster.MaxRanks / s.Cluster.Nodes; j.RanksPerNode < 1 || j.RanksPerNode > limit {
+			return fmt.Errorf("runner: colocated %s needs 1 to %d ranks per node on %d nodes, got %d",
+				j.Workload, limit, s.Cluster.Nodes, j.RanksPerNode)
 		}
 		if err := j.Config.Validate(); err != nil {
 			return err
@@ -154,11 +159,12 @@ type Stats struct {
 	// record). Lookups are bypassed entirely under Mode.Check — the
 	// audit needs a live simulation — and those do not count.
 	StoreMisses int
-	// StoreWrites counts entries this Runner persisted.
+	// StoreWrites counts executions this Runner persisted (the result
+	// and any observer records).
 	StoreWrites int
-	// StoreCorrupt counts entries that existed but failed container
-	// verification or payload decoding; each was treated as a miss and
-	// repaired by simulate-and-rewrite.
+	// StoreCorrupt counts entries or records that existed but failed
+	// verification or decoding; each was treated as a miss and repaired
+	// by simulate-and-rewrite.
 	StoreCorrupt int
 }
 
@@ -235,12 +241,6 @@ type Runner struct {
 	// store is the optional persistent second tier (SetStore): lookups
 	// fall through the in-memory map to it, executions persist into it.
 	store *store.Store
-
-	// persistPrePut/persistPreVerify are test-only interleaving hooks in
-	// the persist path (between the merge peek and the Put, and before
-	// each post-Put verification read); nil outside the tests.
-	persistPrePut    func()
-	persistPreVerify func()
 }
 
 // New returns a Runner executing at most workers simulations

@@ -243,6 +243,22 @@ func TestUnknownWorkloadFails(t *testing.T) {
 	}
 }
 
+// TestColocatedRanksBounded: a colocated job's rank density is held to
+// the same total-rank bound as the cluster's own.
+func TestColocatedRanksBounded(t *testing.T) {
+	s := tinyScenario("hpl", 2, network.GigE)
+	for _, ranks := range []int{0, cluster.MaxRanks/2 + 1, 1 << 30} {
+		s.Colocated = []Job{{Workload: "hpl-cpu", RanksPerNode: ranks}}
+		if err := s.Validate(); err == nil {
+			t.Errorf("colocated job with %d ranks per node on 2 nodes passed Validate", ranks)
+		}
+	}
+	s.Colocated = []Job{{Workload: "hpl-cpu", RanksPerNode: cluster.MaxRanks / 2}}
+	if err := s.Validate(); err != nil {
+		t.Errorf("colocated job at the bound rejected: %v", err)
+	}
+}
+
 // TestBatchEqualsNaive is the testing/quick property: for any sequence
 // of picks from a scenario palette, the deduped concurrent batch returns
 // exactly what naive one-at-a-time Execute calls return.

@@ -1,17 +1,15 @@
 // The persistent second cache tier: under the in-memory fingerprint map
 // sits an optional content-addressed on-disk store (internal/store).
-// Results are bit-deterministic, so a stored entry is valid forever — a
-// warm store turns full artifact regeneration into pure decode, and the
-// store's per-key lock files extend the run-plane's singleflight across
-// processes: N concurrent sweeps of one scenario grid simulate each
-// scenario once between them.
+// Results are bit-deterministic, so a stored entry is valid forever and a
+// warm store turns full artifact regeneration into pure decode. Keys are
+// only ever put whole, so processes sharing a store need no coordination:
+// two that miss one key at once both simulate it and install equal bytes.
 package runner
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"clustersoc/internal/critpath"
 	"clustersoc/internal/obs"
@@ -24,7 +22,7 @@ import (
 // schema changes; anything that would make an old entry decode into a
 // different value than a fresh simulation produces. Bumping re-addresses
 // every key, so old entries become unreachable instead of wrong.
-const StoreSchemaVersion = 1
+const StoreSchemaVersion = 2
 
 // OpenStore opens (creating if needed) a persistent result store rooted
 // at dir, addressed with the run-plane's current result schema.
@@ -50,38 +48,37 @@ func (r *Runner) Store() *store.Store {
 	return r.store
 }
 
-// storedEntry is the persisted form of one scenario's Result. The
-// fields Result excludes from JSON on purpose (Events is a property of
-// the simulator, Profile and CritPath live in sidecars) are first-class
-// here, so a store hit reconstructs the full in-memory Result — and
-// -profile/-critpath replays against a warm store are free.
+// storedEntry is the persisted form of one scenario's Result. Events,
+// which Result excludes from JSON (it is a property of the simulator),
+// is first-class here, so a store hit reconstructs the full Result; the
+// observer records live under their own keys as storedRecords.
 type storedEntry struct {
-	Fingerprint string           `json:"fingerprint"`
-	Events      uint64           `json:"events"`
-	Result      Result           `json:"result"`
-	Profile     *obs.Profile     `json:"profile,omitempty"`
-	CritPath    *critpath.Report `json:"critpath,omitempty"`
+	Fingerprint string `json:"fingerprint"`
+	Events      uint64 `json:"events"`
+	Result      Result `json:"result"`
 }
 
-// result reassembles the in-memory Result from a decoded entry.
-func (e *storedEntry) result() Result {
-	res := e.Result
-	res.Events = e.Events
-	res.Profile = e.Profile
-	res.CritPath = e.CritPath
-	return res
+// storedRecord is the persisted form of one observer record (a Profile
+// or a CritPath report). Like storedEntry it echoes the fingerprint.
+type storedRecord[T any] struct {
+	Fingerprint string `json:"fingerprint"`
+	Record      *T     `json:"record"`
 }
+
+// Observer record kinds.
+const (
+	profileRecord  = "profile"
+	critPathRecord = "critpath"
+)
+
+// recordKey addresses fp's record of the given kind. The NUL prefix
+// keeps record keys disjoint from fingerprints, which begin with the
+// cluster's JSON encoding.
+func recordKey(kind, fp string) string { return "\x00" + kind + "\x00" + fp }
 
 // encodeStored serializes a Result for the store.
 func encodeStored(fp string, res Result) ([]byte, error) {
-	e := storedEntry{
-		Fingerprint: fp,
-		Events:      res.Events,
-		Result:      res,
-		Profile:     res.Profile,
-		CritPath:    res.CritPath,
-	}
-	return json.Marshal(e)
+	return json.Marshal(storedEntry{Fingerprint: fp, Events: res.Events, Result: res})
 }
 
 // decodeStored parses a stored payload and verifies it echoes the
@@ -98,219 +95,117 @@ func decodeStored(data []byte, fp string) (*storedEntry, error) {
 	return &e, nil
 }
 
+// loadRecord reads fp's record of the given kind through Peek, so the
+// store counts one Get per submission. A record that is present but
+// unusable is invalidated (counting it corrupt) and reported as
+// store.ErrCorrupt.
+func loadRecord[T any](st *store.Store, kind, fp string) (*T, error) {
+	key := recordKey(kind, fp)
+	data, err := st.Peek(key)
+	if errors.Is(err, store.ErrMiss) {
+		return nil, err
+	}
+	var rec storedRecord[T]
+	if err == nil {
+		err = json.Unmarshal(data, &rec)
+	}
+	if err == nil && (rec.Fingerprint != fp || rec.Record == nil) {
+		err = fmt.Errorf("misfiled or empty (fingerprint %q)", rec.Fingerprint)
+	}
+	if err != nil {
+		st.Invalidate(key)
+		return nil, fmt.Errorf("%w: %s record: %v", store.ErrCorrupt, kind, err)
+	}
+	return rec.Record, nil
+}
+
 // runTiered resolves one claimed fingerprint through the store tier:
-// decode a servable entry, or take the cross-process lock, simulate,
-// and persist. Checking always simulates (the simcheck audit needs the
-// live cluster, not a decoded result); profiling/critpath requests are
-// served from the store only when the entry carries the corresponding
-// record, and an execution forced by a missing record rewrites the
-// entry with the record added (read-merge keeps the other one).
+// decode a servable entry, or simulate and persist. Checking bypasses
+// reads (the simcheck audit needs a live simulation, not a decoded
+// result) but still persists.
 func (r *Runner) runTiered(s Scenario, fp string, st *store.Store, m Mode) (Result, string, error) {
-	var release func()
-	if st != nil {
-		if res, ok := r.tryLoad(st, fp, m, false); ok {
+	if st != nil && !m.Check {
+		if res, ok := r.tryLoad(st, fp, m); ok {
 			return res, SourceStore, nil
-		}
-		// Cross-process singleflight: take the key's lock, or wait for
-		// the holder and decode the entry it persisted (holders persist
-		// before releasing, so a clean release means the entry is there).
-		// Both the wait and the stale-steal inside TryLock are bounded —
-		// worst case we simulate without the lock, which is merely
-		// duplicated work installing identical bytes. Re-checks after
-		// waiting or winning the lock are quiet so one submission counts
-		// at most one store miss.
-		//
-		// The loop itself consults the deadline: TryLock can fail without
-		// leaving a lock file on disk (read-only or full store directory,
-		// a store in read-only mode), in which case WaitUnlocked returns
-		// true immediately and the load keeps missing — without the
-		// deadline check (and the no-holder fast path below) that spun
-		// forever.
-		deadline := time.Now().Add(st.LockWait())
-		for release == nil {
-			rel, ok := st.TryLock(fp)
-			if ok {
-				release = rel
-				// Another process may have persisted and released between
-				// our first load and the lock; serve that entry.
-				if res, ok := r.tryLoad(st, fp, m, true); ok {
-					release()
-					return res, SourceStore, nil
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				break // out of patience: simulate without the lock
-			}
-			if !st.WaitUnlocked(fp, deadline) {
-				break // stuck or stale holder: simulate without the lock
-			}
-			if res, ok := r.tryLoad(st, fp, m, true); ok {
-				return res, SourceStore, nil
-			}
-			if !st.Locked(fp) {
-				// TryLock failed, yet no lock file exists and there is no
-				// entry to serve: the filesystem is refusing locks, and
-				// there is no holder to wait for. Simulate without one.
-				break
-			}
 		}
 	}
 	res, err := r.executeCounted(s, m)
 	if err == nil && st != nil {
-		r.persist(st, fp, res, release != nil)
-	}
-	if release != nil {
-		release()
+		r.persist(st, fp, res)
 	}
 	return res, SourceSimulated, err
 }
 
-// tryLoad attempts to serve fp from the store. Checking bypasses reads
-// entirely (the audit needs a live simulation); a corrupt container or
-// undecodable payload counts corrupt and falls back to simulation (the
-// rewrite repairs the entry). A quiet load is a singleflight re-check:
-// it never counts a miss — the submission already counted one — and
-// reads through Peek so the store's own counters stay per-submission.
-func (r *Runner) tryLoad(st *store.Store, fp string, m Mode, quiet bool) (Result, bool) {
-	if m.Check {
-		return Result{}, false
+// tryLoad attempts to serve fp from the store, counting one store hit or
+// miss for the submission. A corrupt entry or record counts corrupt and
+// falls back to simulation, whose persist repairs it.
+func (r *Runner) tryLoad(st *store.Store, fp string, m Mode) (Result, bool) {
+	res, err := loadStored(st, fp, m)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err == nil {
+		r.stats.StoreHits++
+		return res, true
 	}
-	var data []byte
-	var err error
-	if quiet {
-		data, err = st.Peek(fp)
-	} else {
-		data, err = st.Get(fp)
+	if errors.Is(err, store.ErrCorrupt) {
+		r.stats.StoreCorrupt++
 	}
+	r.stats.StoreMisses++
+	return Result{}, false
+}
+
+// loadStored reads fp's entry and the observer records m asks for; the
+// execution a missing record forces persists it. An entry that verifies
+// but does not decode is invalidated.
+func loadStored(st *store.Store, fp string, m Mode) (Result, error) {
+	data, err := st.Get(fp)
 	if err != nil {
-		if !quiet {
-			r.mu.Lock()
-			if errors.Is(err, store.ErrCorrupt) {
-				r.stats.StoreCorrupt++
-			}
-			r.stats.StoreMisses++
-			r.mu.Unlock()
-		}
-		return Result{}, false
+		return Result{}, err
 	}
 	e, err := decodeStored(data, fp)
 	if err != nil {
-		// Payload-level corruption is real whichever load saw it.
 		st.Invalidate(fp)
-		r.mu.Lock()
-		r.stats.StoreCorrupt++
-		if !quiet {
-			r.stats.StoreMisses++
-		}
-		r.mu.Unlock()
-		return Result{}, false
+		return Result{}, fmt.Errorf("%w: %v", store.ErrCorrupt, err)
 	}
-	if (m.Profile && e.Profile == nil) || (m.CritPath && e.CritPath == nil) {
-		// The entry predates the requested observer record; simulate with
-		// the observer attached and upgrade the entry.
-		if !quiet {
-			r.mu.Lock()
-			r.stats.StoreMisses++
-			r.mu.Unlock()
+	res := e.Result
+	res.Events = e.Events
+	if m.Profile {
+		if res.Profile, err = loadRecord[obs.Profile](st, profileRecord, fp); err != nil {
+			return Result{}, err
 		}
-		return Result{}, false
 	}
-	r.mu.Lock()
-	r.stats.StoreHits++
-	r.mu.Unlock()
-	return e.result(), true
+	if m.CritPath {
+		if res.CritPath, err = loadRecord[critpath.Report](st, critPathRecord, fp); err != nil {
+			return Result{}, err
+		}
+	}
+	return res, nil
 }
 
-// persist writes res under fp, carrying forward any observer record the
-// existing entry has that this execution did not produce (results are
-// deterministic, so records from different executions are coherent).
-// Persistence is best-effort: an encode or write failure leaves the
-// store cold for this key, never wrong.
-//
-// The read-merge is a check-then-act, so two concurrent upgraders (one
-// adding a Profile, one adding a CritPath) could each Peek before the
-// other's Put and the last writer would drop the other's record. Three
-// defenses close that: writers that do not already hold the key's
-// singleflight lock take it here when it is free, serializing the merge;
-// the merge re-peeks immediately before the Put; and after the Put the
-// writer re-reads the entry and, on a detected downgrade (the current
-// entry lacking a record this writer knows about), re-merges and
-// rewrites. Two writers that both fail to take the lock can still in
-// principle interleave pathologically — the residual loss is an optional
-// observer record (regenerable, never a wrong result), and every rewrite
-// converges toward the union.
-func (r *Runner) persist(st *store.Store, fp string, res Result, locked bool) {
-	if !locked {
-		if rel, ok := st.TryLock(fp); ok {
-			locked = true
-			defer rel()
-		}
-	}
-	// Re-peek and merge (under the key lock when we hold it): fill the
-	// records this execution did not produce from the current entry.
-	merge := func() {
-		if res.Profile != nil && res.CritPath != nil {
-			return
-		}
-		if data, err := st.Peek(fp); err == nil {
-			if prior, err := decodeStored(data, fp); err == nil {
-				if res.Profile == nil {
-					res.Profile = prior.Profile
-				}
-				if res.CritPath == nil {
-					res.CritPath = prior.CritPath
-				}
-			}
-		}
-	}
-	write := func() bool {
-		data, err := encodeStored(fp, res)
-		if err != nil {
-			return false
-		}
-		if st.Put(fp, data) != nil {
-			return false
-		}
-		r.mu.Lock()
-		r.stats.StoreWrites++
-		r.mu.Unlock()
-		return true
-	}
-	merge()
-	if r.persistPrePut != nil {
-		r.persistPrePut()
-	}
-	if !write() {
+// persist writes res under fp, then each observer record it carries
+// under the record's own key. No key is read, modified and rewritten, so
+// concurrent persists cannot lose one another's records. Persistence is
+// best-effort: a failure leaves the store cold for that key, never
+// wrong. An execution counts one store write once its result is in.
+func (r *Runner) persist(st *store.Store, fp string, res Result) {
+	data, err := encodeStored(fp, res)
+	if err != nil || st.Put(fp, data) != nil {
 		return
 	}
-	// Downgrade detection: if a concurrent writer replaced the entry with
-	// one missing a record we hold, merge its records with ours and
-	// rewrite. Bounded — each pass only fires when the entry on disk
-	// lost information relative to this writer.
-	for attempt := 0; attempt < 4; attempt++ {
-		if r.persistPreVerify != nil {
-			r.persistPreVerify()
-		}
-		data, err := st.Peek(fp)
-		if err != nil {
-			return // unreadable or gone: nothing to verify against
-		}
-		cur, err := decodeStored(data, fp)
-		if err != nil {
-			return
-		}
-		if (res.Profile == nil || cur.Profile != nil) && (res.CritPath == nil || cur.CritPath != nil) {
-			return // the installed entry covers every record we know about
-		}
-		if res.Profile == nil {
-			res.Profile = cur.Profile
-		}
-		if res.CritPath == nil {
-			res.CritPath = cur.CritPath
-		}
-		if !write() {
-			return
-		}
+	r.mu.Lock()
+	r.stats.StoreWrites++
+	r.mu.Unlock()
+	if res.Profile != nil {
+		putRecord(st, profileRecord, fp, res.Profile)
+	}
+	if res.CritPath != nil {
+		putRecord(st, critPathRecord, fp, res.CritPath)
+	}
+}
+
+// putRecord installs one observer record of fp, best-effort like persist.
+func putRecord[T any](st *store.Store, kind, fp string, rec *T) {
+	if data, err := json.Marshal(storedRecord[T]{Fingerprint: fp, Record: rec}); err == nil {
+		st.Put(recordKey(kind, fp), data)
 	}
 }

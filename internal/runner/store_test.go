@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,21 +10,20 @@ import (
 	"testing"
 	"time"
 
+	"clustersoc/internal/critpath"
 	"clustersoc/internal/faults"
 	"clustersoc/internal/network"
 	"clustersoc/internal/store"
 	"clustersoc/internal/workloads"
 )
 
-// openStore opens a fresh (or shared) store for tests, with polling fast
-// enough that singleflight waits resolve in milliseconds.
+// openStore opens a fresh (or shared) store for tests.
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetPollInterval(time.Millisecond)
 	return st
 }
 
@@ -119,33 +119,34 @@ func mangleEntry(t *testing.T, dir string, mut func([]byte) []byte) {
 
 // TestStoreCorruptEntryFallsBackToSimulation is the corruption satellite
 // at the run-plane level: truncated entries, zero-byte entries, wrong
-// version tags, and garbage payloads each read as a miss, get counted
-// corrupt, and are repaired by simulate-and-rewrite — after which a
-// fresh Runner hits.
+// version tags, garbage payloads, and corrupt or misfiled observer
+// records each read as a miss, get counted corrupt, and are repaired by
+// simulate-and-rewrite — after which a fresh Runner hits.
 func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 	sc := tinyScenario("hpl", 2, network.GigE)
 	fp := sc.Fingerprint()
 	cases := []struct {
 		name    string
+		mode    Mode
 		corrupt func(t *testing.T, dir string, st *store.Store)
 	}{
-		{"truncated entry", func(t *testing.T, dir string, _ *store.Store) {
+		{"truncated entry", Mode{}, func(t *testing.T, dir string, _ *store.Store) {
 			mangleEntry(t, dir, func(d []byte) []byte { return d[:len(d)/2] })
 		}},
-		{"zero-byte entry", func(t *testing.T, dir string, _ *store.Store) {
+		{"zero-byte entry", Mode{}, func(t *testing.T, dir string, _ *store.Store) {
 			mangleEntry(t, dir, func([]byte) []byte { return nil })
 		}},
-		{"wrong version tag", func(t *testing.T, dir string, _ *store.Store) {
+		{"wrong version tag", Mode{}, func(t *testing.T, dir string, _ *store.Store) {
 			mangleEntry(t, dir, func(d []byte) []byte {
 				return []byte(strings.Replace(string(d), "clustersoc-store v1 ", "clustersoc-store v9 ", 1))
 			})
 		}},
-		{"valid container, garbage JSON payload", func(t *testing.T, _ string, st *store.Store) {
+		{"valid container, garbage JSON payload", Mode{}, func(t *testing.T, _ string, st *store.Store) {
 			if err := st.Put(fp, []byte("{this is not json")); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"valid entry for the wrong fingerprint", func(t *testing.T, _ string, st *store.Store) {
+		{"valid entry for the wrong fingerprint", Mode{}, func(t *testing.T, _ string, st *store.Store) {
 			other := tinyScenario("cg", 2, network.GigE)
 			data, err := encodeStored(other.Fingerprint(), Result{})
 			if err != nil {
@@ -155,12 +156,25 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"garbage profile record", Mode{Profile: true}, func(t *testing.T, _ string, st *store.Store) {
+			if err := st.Put(recordKey(profileRecord, fp), []byte("{this is not json")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"critpath record for the wrong fingerprint", Mode{CritPath: true}, func(t *testing.T, _ string, st *store.Store) {
+			other := tinyScenario("cg", 2, network.GigE).Fingerprint()
+			data, _ := json.Marshal(storedRecord[critpath.Report]{Fingerprint: other, Record: &critpath.Report{}})
+			if err := st.Put(recordKey(critPathRecord, fp), data); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			seed := New(1)
 			seed.SetStore(openStore(t, dir))
+			seed.SetMode(tc.mode)
 			want, err := seed.Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -169,6 +183,7 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 
 			r := New(1)
 			r.SetStore(openStore(t, dir))
+			r.SetMode(tc.mode)
 			got, err := r.Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -180,12 +195,13 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if st.Simulated != 1 || st.StoreWrites != 1 || st.StoreHits != 0 {
 				t.Fatalf("corrupt entry must simulate-and-rewrite: %+v", st)
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !reflect.DeepEqual(withoutRecords(want), withoutRecords(got)) {
 				t.Fatal("re-simulated result differs")
 			}
 			// The rewrite repaired the entry: a fresh Runner now hits.
 			r3 := New(1)
 			r3.SetStore(openStore(t, dir))
+			r3.SetMode(tc.mode)
 			again, err := r3.Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -193,18 +209,28 @@ func TestStoreCorruptEntryFallsBackToSimulation(t *testing.T) {
 			if r3.Stats().StoreHits != 1 || r3.Stats().Simulated != 0 {
 				t.Fatalf("repaired entry must serve: %+v", r3.Stats())
 			}
-			if !reflect.DeepEqual(want, again) {
+			if !reflect.DeepEqual(withoutRecords(want), withoutRecords(again)) {
 				t.Fatal("repaired entry decodes to a different result")
+			}
+			if (again.Profile != nil) != tc.mode.Profile || (again.CritPath != nil) != tc.mode.CritPath {
+				t.Fatalf("repaired store must serve exactly the requested records: profile=%v critpath=%v",
+					again.Profile != nil, again.CritPath != nil)
 			}
 		})
 	}
 }
 
+// withoutRecords strips the observer records (profiles carry wall time).
+func withoutRecords(res Result) Result {
+	res.Profile, res.CritPath = nil, nil
+	return res
+}
+
 // TestStoreConcurrentRunnersSingleflight submits the same scenario to
 // two Runner instances sharing one store directory at the same time —
-// the cross-process sweep case. The per-fingerprint lock file must
-// collapse the pair to one simulation, with the other side decoding the
-// winner's entry. Run under -race in CI.
+// the cross-process sweep case. Nothing coordinates them: each may
+// simulate, and both must agree on the result and leave one decodable
+// entry behind. Run under -race in CI.
 func TestStoreConcurrentRunnersSingleflight(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScenario("ep", 2, network.TenGigE)
@@ -232,23 +258,21 @@ func TestStoreConcurrentRunnersSingleflight(t *testing.T) {
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Fatal("concurrent runners disagree on the result")
 	}
-	simulated, served := 0, 0
-	for _, r := range runners {
-		st := r.Stats()
-		simulated += st.Simulated
-		served += st.StoreHits
+	for i, r := range runners {
+		if st := r.Stats(); st.Simulated+st.StoreHits != 1 {
+			t.Fatalf("runner %d must simulate or hit exactly once: %+v", i, st)
+		}
 	}
-	if simulated != 1 {
-		t.Fatalf("cross-process singleflight must simulate exactly once, simulated %d times", simulated)
-	}
-	if served != 1 {
-		t.Fatalf("the losing runner must be served from the store, served=%d", served)
+	if data, err := openStore(t, dir).Get(sc.Fingerprint()); err != nil {
+		t.Fatal(err)
+	} else if _, err := decodeStored(data, sc.Fingerprint()); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestStoreTierWithProfiling pins the observer upgrade protocol: an
+// TestStoreTierWithProfiling pins the observer record protocol: an
 // entry persisted without a profile cannot serve a profiling run — the
-// run re-simulates with the observer attached and upgrades the entry,
+// run re-simulates with the observer attached and stores the profile,
 // after which profiled and unprofiled requests both hit.
 func TestStoreTierWithProfiling(t *testing.T) {
 	dir := t.TempDir()
@@ -298,9 +322,9 @@ func TestStoreTierWithProfiling(t *testing.T) {
 	}
 }
 
-// TestStoreTierWithCritPath mirrors the profiling upgrade for the
-// critical-path record, and checks the read-merge: upgrading the entry
-// with a critpath report must not drop the profile already stored.
+// TestStoreTierWithCritPath mirrors the profiling case for the
+// critical-path record, and checks that storing a critpath report does
+// not drop the profile already stored.
 func TestStoreTierWithCritPath(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScenario("hpl", 2, network.TenGigE)
@@ -347,8 +371,8 @@ func TestStoreTierWithCritPath(t *testing.T) {
 
 // TestStoreTierWithChecking pins the audit rule: the simcheck audit
 // validates a live simulation, so a checking run never decodes from the
-// store — it simulates, audits, and rewrites (keeping stored observer
-// records through the read-merge).
+// store — it simulates, audits, and rewrites the result (keeping the
+// stored observer records).
 func TestStoreTierWithChecking(t *testing.T) {
 	dir := t.TempDir()
 	sc := tinyScenario("hpl", 2, network.TenGigE)

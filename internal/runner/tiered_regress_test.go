@@ -1,202 +1,135 @@
 package runner
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 
-	"clustersoc/internal/critpath"
 	"clustersoc/internal/network"
-	"clustersoc/internal/obs"
+	"clustersoc/internal/store"
 )
 
-// TestTieredRunFallsThroughOnUnwritableStore is the busy-spin
-// regression: when TryLock persistently fails with no lock file on disk
-// (a read-only or full store directory — modeled here by the store's
-// read-only mode, which declines lock creation exactly the way EROFS
-// does), WaitUnlocked returns true immediately and the load keeps
-// missing. Before the fix, the `for release == nil` loop retried that
-// cycle forever without consulting the deadline; now it detects that
-// there is no holder to wait for and falls through to simulation.
+// TestTieredRunFallsThroughOnUnwritableStore: a store whose directory
+// can no longer hold entries (a regular file stands where it was) still
+// answers with the simulated result and counts no write.
 func TestTieredRunFallsThroughOnUnwritableStore(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	st.SetReadOnly(true)
-	// A generous lock wait: the fix must not even burn this much — the
-	// no-holder fast path breaks out on the first cycle.
-	st.SetLockWait(time.Minute)
-
+	dir := filepath.Join(t.TempDir(), "store")
+	st := openStore(t, dir)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	r := New(1)
 	r.SetStore(st)
 	sc := tinyScenario("cg", 2, network.TenGigE)
-
-	type outcome struct {
-		res Result
-		out Outcome
-		err error
+	res, out, err := r.RunTracked(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, out, err := r.RunTracked(sc)
-		done <- outcome{res, out, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if o.out.Source != SourceSimulated {
-			t.Fatalf("source = %q, want %q", o.out.Source, SourceSimulated)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run spun on the unwritable store instead of falling through to simulation")
+	if out.Source != SourceSimulated {
+		t.Fatalf("source = %q, want %q", out.Source, SourceSimulated)
 	}
-	stats := r.Stats()
-	if stats.Simulated != 1 {
-		t.Fatalf("Simulated = %d, want 1", stats.Simulated)
+	if want, _ := Execute(sc); !reflect.DeepEqual(res, want) {
+		t.Fatal("unwritable store changed the simulated result")
 	}
-	if stats.StoreWrites != 0 {
-		t.Fatalf("StoreWrites = %d on a read-only store, want 0", stats.StoreWrites)
+	if stats := r.Stats(); stats.Simulated != 1 || stats.StoreWrites != 0 {
+		t.Fatalf("want 1 simulation and no write on an unwritable store: %+v", stats)
 	}
 	if got := st.Counters().Writes; got != 0 {
-		t.Fatalf("store recorded %d writes in read-only mode", got)
+		t.Fatalf("store recorded %d writes on an unwritable directory", got)
 	}
 }
 
-// TestPersistTwoWriterInterleavingKeepsBothRecords is the lost-record
-// regression: two upgraders of one entry — one adding a Profile, one
-// adding a CritPath — each Peek before the other's Put. Before the fix
-// the last writer silently dropped the other's record; now the lockless
-// writer detects the downgrade on its post-Put verification read and
-// re-merges, so the final entry carries both records.
-//
-// The interleaving is choreographed with the persist test hooks:
-//
-//	A (locked):   merge-peek(empty)  .................  put(P)  verify
-//	B (lockless):                    merge-peek(empty)          put(C)  verify->repair
-//
-// i.e. B's Put lands between A's peek and A's Put, and A's Put clobbers
-// B's record; B's verification read (which runs after A's Put) sees its
-// CritPath gone from the current entry and rewrites the union.
+// TestPersistTwoWriterInterleavingKeepsBothRecords: two executions of
+// one scenario persist at the same time through two stores on one
+// directory, one carrying a Profile and one a CritPath. Each record has
+// its own key and no key is read, modified and rewritten, so neither
+// persist can drop the other's record: a fresh Mode{Profile, CritPath}
+// run is served from the store with both.
 func TestPersistTwoWriterInterleavingKeepsBothRecords(t *testing.T) {
 	dir := t.TempDir()
-	stA := openStore(t, dir)
-	stB := openStore(t, dir)
 	sc := tinyScenario("cg", 2, network.TenGigE)
 	fp := sc.Fingerprint()
 
-	base, err := Execute(sc)
+	withProfile, err := Mode{Profile: true}.Execute(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA := base
-	resA.Profile = &obs.Profile{Scenario: "A", Fingerprint: fp}
-	resB := base
-	resB.CritPath = mustReport(t, sc)
-
-	var (
-		aPeeked = make(chan struct{}) // A holds the lock and has merge-peeked
-		bPut    = make(chan struct{}) // B's Put has landed
-		aPut    = make(chan struct{}) // A's Put has landed
-		once    sync.Once
-		onceA   sync.Once
-		onceB   sync.Once
-	)
-	rA := New(1)
-	rA.persistPrePut = func() {
-		once.Do(func() { close(aPeeked) })
-		<-bPut // hold A between its merge peek and its Put until B has written
+	withCrit, err := Mode{CritPath: true}.Execute(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rA.persistPreVerify = func() {
-		onceA.Do(func() { close(aPut) })
-	}
-	rB := New(1)
-	rB.persistPreVerify = func() {
-		onceB.Do(func() { close(bPut) })
-		<-aPut // B verifies only after A's clobbering Put
-	}
-
+	stores := []*store.Store{openStore(t, dir), openStore(t, dir)}
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		rA.persist(stA, fp, resA, false) // takes the key lock
-	}()
-	go func() {
-		defer wg.Done()
-		<-aPeeked
-		rB.persist(stB, fp, resB, false) // lock held by A: goes lockless
-	}()
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("choreographed persist interleaving deadlocked")
+	for i, res := range []Result{withProfile, withCrit} {
+		wg.Add(1)
+		go func(st *store.Store, res Result) {
+			defer wg.Done()
+			New(1).persist(st, fp, res)
+		}(stores[i], res)
 	}
+	wg.Wait()
 
-	data, err := stA.Peek(fp)
+	r := New(1)
+	r.SetStore(openStore(t, dir))
+	r.SetMode(Mode{Profile: true, CritPath: true})
+	got, err := r.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := decodeStored(data, fp)
-	if err != nil {
-		t.Fatal(err)
+	if st := r.Stats(); st.StoreHits != 1 || st.Simulated != 0 {
+		t.Fatalf("both records must be stored and served: %+v", st)
 	}
-	if final.Profile == nil {
-		t.Fatal("final entry dropped writer A's Profile record")
-	}
-	if final.CritPath == nil {
-		t.Fatal("final entry dropped writer B's CritPath record")
+	if got.Profile == nil || got.CritPath == nil {
+		t.Fatalf("a record was lost: profile=%v critpath=%v", got.Profile != nil, got.CritPath != nil)
 	}
 }
 
-// TestPersistUnderKeyLockMergesPrior pins the serialized path: an
-// upgrader that gets the key lock re-peeks under it and carries the
-// existing entry's records forward.
+// TestPersistUnderKeyLockMergesPrior pins the sequential path: a
+// persist carrying only a CritPath keeps the Profile an earlier persist
+// of the same key stored, and rewrites the result entry to equal bytes.
 func TestPersistUnderKeyLockMergesPrior(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	sc := tinyScenario("cg", 2, network.TenGigE)
 	fp := sc.Fingerprint()
 
-	base, err := Execute(sc)
+	withProfile, err := Mode{Profile: true}.Execute(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withProfile := base
-	withProfile.Profile = &obs.Profile{Scenario: "prior", Fingerprint: fp}
+	withCrit, err := Mode{CritPath: true}.Execute(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := New(1)
-	r.persist(st, fp, withProfile, false)
-
-	withCrit := base
-	withCrit.CritPath = mustReport(t, sc)
-	r.persist(st, fp, withCrit, false)
-
-	data, err := st.Peek(fp)
+	r.persist(st, fp, withProfile)
+	first, err := st.Peek(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := decodeStored(data, fp)
+	r.persist(st, fp, withCrit)
+	second, err := st.Peek(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Profile == nil || final.CritPath == nil {
-		t.Fatalf("sequential upgrades must accumulate records (profile %v, critpath %v)",
-			final.Profile != nil, final.CritPath != nil)
+	if string(first) != string(second) {
+		t.Fatal("persisting a second record changed the stored result entry")
 	}
-}
-
-// mustReport produces a real critical-path report for sc, so stored
-// entries in these tests round-trip through the full schema.
-func mustReport(t *testing.T, sc Scenario) *critpath.Report {
-	t.Helper()
-	res, err := Mode{CritPath: true}.Execute(sc)
+	if got := r.Stats().StoreWrites; got != 2 {
+		t.Fatalf("StoreWrites = %d after two persists, want 2", got)
+	}
+	got, err := loadStored(st, fp, Mode{Profile: true, CritPath: true})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("sequential persists must accumulate records: %v", err)
 	}
-	if res.CritPath == nil {
-		t.Fatal("Mode{CritPath: true}.Execute returned no report")
+	if got.Profile == nil || got.CritPath == nil {
+		t.Fatalf("sequential persists must accumulate records (profile %v, critpath %v)",
+			got.Profile != nil, got.CritPath != nil)
 	}
-	return res.CritPath
 }
 
 // TestRunTrackedOutcomes pins the per-submission accounting the service

@@ -12,12 +12,18 @@ import (
 // created full on first sight, so a new client can burst immediately;
 // a drained bucket yields the wait until enough tokens accrue, which
 // the server surfaces as Retry-After.
+//
+// Callers choose their identities, so the map must not keep one bucket
+// per identity ever seen. A refilled bucket behaves exactly like a fresh
+// one, so whenever the map has doubled since the last sweep, take drops
+// the refilled ones: amortised O(1) per take.
 type limiter struct {
 	rate  float64 // tokens per second
 	burst float64
 
-	mu      sync.Mutex
-	buckets map[string]*bucket
+	mu        sync.Mutex
+	buckets   map[string]*bucket
+	sweepSize int // map size at which take sweeps next
 }
 
 type bucket struct {
@@ -48,6 +54,9 @@ func (l *limiter) take(client string, n int, now time.Time) (ok bool, wait time.
 	defer l.mu.Unlock()
 	b, found := l.buckets[client]
 	if !found {
+		if len(l.buckets) >= l.sweepSize {
+			l.sweep(now)
+		}
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[client] = b
 	} else {
@@ -66,4 +75,15 @@ func (l *limiter) take(client string, n int, now time.Time) (ok bool, wait time.
 		return true, 0
 	}
 	return false, time.Duration((need - b.tokens) / l.rate * float64(time.Second))
+}
+
+// sweep drops every bucket that has refilled to burst by now, then sets
+// the next sweep at twice the surviving size.
+func (l *limiter) sweep(now time.Time) {
+	for client, b := range l.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+			delete(l.buckets, client)
+		}
+	}
+	l.sweepSize = 2 * len(l.buckets)
 }

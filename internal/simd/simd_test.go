@@ -411,6 +411,8 @@ func TestRequestValidation(t *testing.T) {
 		{"empty custom cluster", `{"requests":[{"workload":"cg","cluster":{}}]}`, http.StatusBadRequest},
 		{"negative scale", `{"requests":[{"workload":"cg","scale":-1}]}`, http.StatusBadRequest},
 		{"negative gpu_work_ratio", `{"requests":[{"workload":"hpl","gpu_work_ratio":-2}]}`, http.StatusBadRequest},
+		{"huge node count", `{"requests":[{"workload":"cg","nodes":1073741824}]}`, http.StatusBadRequest},
+		{"huge cavium rank count", `{"requests":[{"workload":"ep","system":"cavium","nodes":1073741824}]}`, http.StatusBadRequest},
 		{"oversized batch", `{"requests":[{"workload":"cg"},{"workload":"mg"},{"workload":"ft"}]}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -514,6 +516,36 @@ func TestLimiterAccounting(t *testing.T) {
 	var nilL *limiter
 	if ok, _ := nilL.take("c", 1000, now); !ok {
 		t.Fatal("nil limiter must admit everything")
+	}
+}
+
+// TestLimiterForgetsRefilledClients: 100k distinct clients must not
+// leave 100k buckets behind, and a client still refilling keeps its
+// deficit across sweeps.
+func TestLimiterForgetsRefilledClients(t *testing.T) {
+	now := time.Unix(1000, 0)
+	// A 1-token spend refills in 1 s; a drained bucket needs 1000 s.
+	l := newLimiter(1, 1000)
+	if ok, _ := l.take("drained", 1000, now); !ok {
+		t.Fatal("full bucket refused its burst")
+	}
+	for i := 0; i < 100000; i++ {
+		now = now.Add(time.Millisecond)
+		if ok, _ := l.take("client-"+strconv.Itoa(i), 1, now); !ok {
+			t.Fatal("a new client's first request was refused")
+		}
+	}
+	// About 1000 clients are still refilling at any moment, so the map
+	// peaks near twice that.
+	if n := len(l.buckets); n > 2100 {
+		t.Fatalf("%d buckets left after 100k distinct clients, want <= 2100", n)
+	}
+	// 100 s later the drained client holds 100 tokens, not a fresh 1000.
+	if ok, _ := l.take("drained", 101, now); ok {
+		t.Fatal("a sweep reset a client that was still refilling")
+	}
+	if ok, _ := l.take("drained", 100, now); !ok {
+		t.Fatal("the drained client lost the tokens it had refilled")
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 func open(t *testing.T, schema int) *Store {
@@ -212,52 +210,6 @@ func TestPeekDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestLockProtocol(t *testing.T) {
-	s := open(t, 1)
-	rel, ok := s.TryLock("k")
-	if !ok {
-		t.Fatal("first TryLock must succeed")
-	}
-	if _, ok := s.TryLock("k"); ok {
-		t.Fatal("second TryLock must fail while held")
-	}
-	// A held lock on one key does not block another key.
-	rel2, ok := s.TryLock("other")
-	if !ok {
-		t.Fatal("lock on a different key must succeed")
-	}
-	rel2()
-
-	s.SetPollInterval(time.Millisecond)
-	if s.WaitUnlocked("k", time.Now().Add(20*time.Millisecond)) {
-		t.Fatal("WaitUnlocked must time out while the lock is held")
-	}
-	rel()
-	if !s.WaitUnlocked("k", time.Now().Add(time.Second)) {
-		t.Fatal("WaitUnlocked must observe the release")
-	}
-	if rel3, ok := s.TryLock("k"); !ok {
-		t.Fatal("TryLock must succeed after release")
-	} else {
-		rel3()
-	}
-}
-
-func TestStaleLockIsStolen(t *testing.T) {
-	s := open(t, 1)
-	if _, ok := s.TryLock("k"); !ok {
-		t.Fatal("setup lock failed")
-	}
-	// The "holder" dies without releasing. With a zero stale age the
-	// next contender steals the lock instead of waiting forever.
-	s.SetStaleLockAfter(0)
-	rel, ok := s.TryLock("k")
-	if !ok {
-		t.Fatal("stale lock must be stolen")
-	}
-	rel()
-}
-
 func TestSnapshotIsNonDeterministicStoreScope(t *testing.T) {
 	s := open(t, 1)
 	s.Put("k", []byte("x"))
@@ -290,121 +242,5 @@ func TestSnapshotIsNonDeterministicStoreScope(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open("", 1); err == nil {
 		t.Fatal("Open(\"\") must fail")
-	}
-}
-
-// TestConfigSettersSafeUnderConcurrentUse pins the "safe for concurrent
-// use" contract on the lock-protocol knobs: a long-running server
-// reconfigures the shared Store while request goroutines are inside
-// TryLock/WaitUnlocked. Before the knobs became atomic this was a data
-// race the -race CI job catches.
-func TestConfigSettersSafeUnderConcurrentUse(t *testing.T) {
-	s := open(t, 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				d := time.Duration(j%7+1) * time.Millisecond
-				s.SetLockWait(d)
-				s.SetPollInterval(d)
-				s.SetStaleLockAfter(d)
-			}
-		}(i)
-	}
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := "concurrent-key"
-			for j := 0; j < 200; j++ {
-				if rel, ok := s.TryLock(key); ok {
-					rel()
-				}
-				s.WaitUnlocked(key, time.Now().Add(-time.Second))
-				_ = s.LockWait()
-				_ = s.PollInterval()
-				_ = s.StaleLockAfter()
-			}
-		}(i)
-	}
-	// Let the TryLock/WaitUnlocked goroutines finish, then stop the
-	// reconfiguration loops.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	go func() {
-		time.Sleep(200 * time.Millisecond)
-		close(stop)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("concurrent setter/lock exercise did not finish")
-	}
-	if s.LockWait() <= 0 || s.PollInterval() <= 0 || s.StaleLockAfter() <= 0 {
-		t.Fatal("configured durations lost")
-	}
-}
-
-// TestReadOnlyModeDeclinesMutations pins the read-only contract: reads
-// serve as usual, Put fails with ErrReadOnly, TryLock refuses (without
-// creating lock files), and Invalidate leaves the entry on disk.
-func TestReadOnlyModeDeclinesMutations(t *testing.T) {
-	s := open(t, 1)
-	payload := []byte(`{"k":1}`)
-	if err := s.Put("ro-key", payload); err != nil {
-		t.Fatal(err)
-	}
-	s.SetReadOnly(true)
-	if !s.ReadOnly() {
-		t.Fatal("ReadOnly not reported")
-	}
-	got, err := s.Get("ro-key")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read-only Get = %q, %v; want the stored payload", got, err)
-	}
-	if err := s.Put("ro-key2", payload); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only Put error = %v, want ErrReadOnly", err)
-	}
-	if _, ok := s.TryLock("ro-key2"); ok {
-		t.Fatal("read-only TryLock must refuse")
-	}
-	if s.Locked("ro-key2") {
-		t.Fatal("read-only TryLock must not leave a lock file behind")
-	}
-	s.Invalidate("ro-key")
-	if _, err := s.Get("ro-key"); err != nil {
-		t.Fatalf("read-only Invalidate must leave the entry: %v", err)
-	}
-	s.SetReadOnly(false)
-	if err := s.Put("ro-key2", payload); err != nil {
-		t.Fatalf("writable again: %v", err)
-	}
-}
-
-// TestLockedReportsLockFilePresence pins the Locked probe the run-plane
-// uses to tell "live holder" from "filesystem refuses locks".
-func TestLockedReportsLockFilePresence(t *testing.T) {
-	s := open(t, 1)
-	if s.Locked("k") {
-		t.Fatal("no lock taken yet")
-	}
-	rel, ok := s.TryLock("k")
-	if !ok {
-		t.Fatal("TryLock failed on a fresh store")
-	}
-	if !s.Locked("k") {
-		t.Fatal("Locked must see the held lock")
-	}
-	rel()
-	if s.Locked("k") {
-		t.Fatal("Locked must see the release")
 	}
 }
