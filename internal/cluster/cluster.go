@@ -74,9 +74,10 @@ func (c Config) Fingerprint() string {
 const MaxRanks = 4096
 
 // Validate reports whether New can assemble the config: at least one
-// node, at least one CPU core per node, at least one rank per node, and
-// at most MaxRanks ranks in total. It is the one check every front end
-// shares before a run.
+// node, at least one CPU core per node, at least one rank per node, at
+// most MaxRanks ranks in total, and a fault plan that passes
+// faults.Plan.Validate. It is the one check every front end shares
+// before a run.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes < 1:
@@ -88,7 +89,7 @@ func (c Config) Validate() error {
 	case c.RanksPerNode > MaxRanks/c.Nodes: // Nodes × RanksPerNode > MaxRanks, without overflow
 		return fmt.Errorf("cluster: %d nodes × %d ranks per node exceeds %d ranks", c.Nodes, c.RanksPerNode, MaxRanks)
 	}
-	return nil
+	return c.Faults.Validate()
 }
 
 // TX1Cluster returns the paper's proposed organization: n Jetson TX1

@@ -1,26 +1,21 @@
 package compute
 
-// Blocked is the cache-blocked, goroutine-parallel engine. It
-// accelerates the dense streaming ops — GEMM (tiled over row panels and
-// k/j blocks so a B tile stays hot across a whole A panel, with a
-// packed-SSE2 micro-kernel on amd64), Dot (fixed 8 KiB chunks reduced
-// in chunk order), Axpy/Triad (parallel
-// elementwise), and Im2col (parallel over channels) — and embeds
-// Reference so every other op (Gemv, Ger, Jacobi5) and every shape below
-// the blocking thresholds falls back to the seed loops, MPSEng-style.
+// Blocked is the cache-blocked, goroutine-parallel engine, and the one
+// the kernels call (as the zero value, compute.Blocked{}). It
+// accelerates GEMM (tiled over row panels and k/j blocks so a B tile
+// stays hot across a whole A panel, with a packed-SSE2 micro-kernel on
+// amd64), Dot (fixed 8192-element chunks reduced in chunk order), Axpy
+// (parallel elementwise) and Im2col (parallel over channels). It embeds
+// Reference, whose loops run every other op (Gemv, Triad, Ger, Jacobi5)
+// and every input below the blocking thresholds.
 //
 // Determinism: every output element is produced by exactly one worker
 // with a loop order fixed by the blocking geometry (never by the worker
 // count), and the Dot partial sums are accumulated in chunk-index order,
-// so a given input produces identical bytes at any GOMAXPROCS.
+// so a given input produces identical bytes at any GOMAXPROCS. The
+// reordered GEMM and Dot match Reference within floating-point
+// reassociation tolerance; the elementwise ops match it exactly.
 type Blocked struct{ Reference }
-
-// Name returns "blocked".
-func (Blocked) Name() string { return "blocked" }
-
-// Accelerated reports true: results match Reference only within
-// floating-point reassociation tolerance.
-func (Blocked) Accelerated() bool { return true }
 
 // Blocking geometry. The GEMM tiles keep one kc x nc panel of B
 // (~256 KiB) plus an mc-row panel of A hot in L2 across a whole row

@@ -25,61 +25,6 @@ func relTol(a, b, tol float64) bool {
 	return d <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func TestByName(t *testing.T) {
-	cases := []struct {
-		name        string
-		wantErr     bool
-		accelerated bool
-	}{
-		{"reference", false, false},
-		{"blocked", false, true},
-		{"", true, false},
-		{"Reference", true, false}, // registry keys are exact
-		{"mps", true, false},
-	}
-	for _, tc := range cases {
-		b, err := ByName(tc.name)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ByName(%q): accepted", tc.name)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", tc.name, err)
-		}
-		if b.Name() != tc.name {
-			t.Errorf("ByName(%q).Name() = %q", tc.name, b.Name())
-		}
-		if b.Accelerated() != tc.accelerated {
-			t.Errorf("ByName(%q).Accelerated() = %v", tc.name, b.Accelerated())
-		}
-	}
-	if len(Names()) != 2 {
-		t.Fatalf("Names() = %v", Names())
-	}
-	for _, name := range Names() {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("listed backend %q not constructible: %v", name, err)
-		}
-	}
-}
-
-func TestSetDefaultRestores(t *testing.T) {
-	orig := Default()
-	prev := SetDefault(Blocked{})
-	if prev.Name() != orig.Name() {
-		t.Fatalf("SetDefault returned %q, want %q", prev.Name(), orig.Name())
-	}
-	if Default().Name() != "blocked" {
-		t.Fatalf("default is %q after SetDefault(Blocked)", Default().Name())
-	}
-	SetDefault(prev)
-	if Default().Name() != orig.Name() {
-		t.Fatalf("default not restored: %q", Default().Name())
-	}
-}
-
 // Blocked GEMM must match Reference within reassociation tolerance on
 // randomized shapes, both below and above the fallback threshold.
 func TestBlockedGEMMMatchesReferenceProperty(t *testing.T) {
@@ -126,7 +71,7 @@ func TestBlockedGEMMSparseRows(t *testing.T) {
 	}
 }
 
-// Below the blocking threshold the Blocked backend must fall back to the
+// Below the blocking threshold the Blocked engine must fall back to the
 // reference loops and reproduce their bytes exactly.
 func TestBlockedFallbackIsByteIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -205,8 +150,15 @@ func gomaxprocsSweep(t *testing.T, f func() []uint64) [][]uint64 {
 	return out
 }
 
-// Fixed-seed determinism: the same backend must produce identical bytes
-// across repeated runs and across GOMAXPROCS values, for both engines.
+// engine is the GEMM+Dot surface both engines share, so the
+// determinism test can sweep them in one loop.
+type engine interface {
+	MatMul(c, a, b []float64, m, k, n int)
+	Dot(a, b []float64) float64
+}
+
+// Fixed-seed determinism: each engine must produce identical bytes
+// across repeated runs and across GOMAXPROCS values.
 func TestBackendDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	const m, k, n = 150, 130, 140
 	r := rand.New(rand.NewSource(5))
@@ -215,7 +167,11 @@ func TestBackendDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	v := randomSlice(r, 1<<16)
 	w := randomSlice(r, 1<<16)
 
-	for _, be := range []Backend{Reference{}, Blocked{}} {
+	for _, tc := range []struct {
+		name string
+		be   engine
+	}{{"reference", Reference{}}, {"blocked", Blocked{}}} {
+		be := tc.be
 		run := func() []uint64 {
 			c := make([]float64, m*n)
 			be.MatMul(c, a, b, m, k, n)
@@ -228,11 +184,11 @@ func TestBackendDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		}
 		first := run()
 		if again := run(); !equalBits(first, again) {
-			t.Fatalf("%s: same-process rerun changed bytes", be.Name())
+			t.Fatalf("%s: same-process rerun changed bytes", tc.name)
 		}
 		for i, got := range gomaxprocsSweep(t, run) {
 			if !equalBits(first, got) {
-				t.Fatalf("%s: GOMAXPROCS sweep entry %d changed bytes", be.Name(), i)
+				t.Fatalf("%s: GOMAXPROCS sweep entry %d changed bytes", tc.name, i)
 			}
 		}
 	}

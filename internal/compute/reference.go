@@ -2,22 +2,17 @@ package compute
 
 import "math"
 
-// Reference is the seed engine: the naive loops the calibration kernels
-// shipped with, extracted verbatim from internal/kernels and internal/nn
-// so that the default backend cannot change a single artifact byte. Row
-// parallelism is owner-computes (each output element is produced by one
-// worker with a fixed inner-loop order), so results are identical at any
-// GOMAXPROCS; reductions (Dot, the Jacobi max-norm) run in index order.
+// Reference holds the naive loops the calibration kernels shipped with:
+// Blocked's fallback below its thresholds and the oracle the equivalence
+// tests compare it against. Row parallelism is owner-computes (each
+// output element is produced by one worker with a fixed inner-loop
+// order), so results are identical at any GOMAXPROCS; reductions (Dot,
+// the Jacobi max-norm) run in index order.
 type Reference struct{}
 
-// Name returns "reference".
-func (Reference) Name() string { return "reference" }
-
-// Accelerated reports false: Reference is the artifact-defining engine.
-func (Reference) Accelerated() bool { return false }
-
-// MatMul computes c = a*b in parallel over rows (verbatim the seed
-// kernels.MatMul loop, including the zero-skip).
+// MatMul computes c = a*b for a (m x k), b (k x n), c (m x n) in
+// parallel over rows, skipping zero entries of a. c must be
+// zero-initialized.
 func (Reference) MatMul(c, a, b []float64, m, k, n int) {
 	ParallelFor(m, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -36,9 +31,9 @@ func (Reference) MatMul(c, a, b []float64, m, k, n int) {
 	})
 }
 
-// Gemv accumulates y += a*x in parallel over rows. With y zeroed it is
-// the seed kernels.MatVec; with y preloaded with biases it is the seed
-// FC forward loop — both summation orders preserved exactly.
+// Gemv accumulates y += a*x for a (m x n), x (n), y (m) in parallel
+// over rows. The caller preloads y: zeros for kernels.MatVec, biases for
+// the nn FC layer.
 func (Reference) Gemv(y, a, x []float64, m, n int) {
 	ParallelFor(m, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -52,8 +47,8 @@ func (Reference) Gemv(y, a, x []float64, m, n int) {
 	})
 }
 
-// Dot returns the sequential in-order inner product (verbatim the seed
-// kernels.Dot).
+// Dot returns the sequential in-order inner product of two
+// equal-length vectors.
 func (Reference) Dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
@@ -62,16 +57,16 @@ func (Reference) Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x sequentially (verbatim the seed
-// kernels.Axpy).
+// Axpy computes y += alpha*x sequentially.
 func (Reference) Axpy(alpha float64, x, y []float64) {
 	for i := range y {
 		y[i] += alpha * x[i]
 	}
 }
 
-// Triad computes a = b + s*c in parallel (verbatim the seed
-// kernels.StreamTriad; elementwise, so bytes are partition-independent).
+// Triad computes a = b + s*c (the STREAM triad) in parallel;
+// elementwise, so bytes are partition-independent. a may alias c (the CG
+// search-direction update p = r + beta*p).
 func (Reference) Triad(a, b, c []float64, s float64) {
 	ParallelFor(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -80,8 +75,10 @@ func (Reference) Triad(a, b, c []float64, s float64) {
 	})
 }
 
-// Ger applies a[i*lda+j] += alpha*x[i]*y[j] in parallel over rows,
-// skipping x[i] == 0 rows — exactly the seed LU trailing update, whose
+// Ger applies the rank-1 update a[i*lda+j] += alpha*x[i]*y[j] for
+// i < len(x), j < len(y), where a points at the first element of a
+// submatrix with row stride lda. It runs in parallel over rows and skips
+// rows with x[i] == 0 — the LU trailing update, whose
 // row[j] -= l*rowK[j] is bitwise (alpha = -1) the same arithmetic.
 func (Reference) Ger(alpha float64, x, y, a []float64, lda int) {
 	n := len(y)
@@ -99,9 +96,10 @@ func (Reference) Ger(alpha float64, x, y, a []float64, lda int) {
 	})
 }
 
-// Jacobi5 performs one 5-point Jacobi sweep (verbatim the seed
-// kernels.JacobiStep): rows in parallel, per-row max distances reduced
-// in row order.
+// Jacobi5 performs one weighted-Jacobi 5-point sweep for -lap(u)=f on
+// the halo-padded (nx+2) x (ny+2) row-major layout of kernels.Grid2D,
+// writing dst and returning the max-norm change: rows in parallel,
+// per-row max distances reduced in row order.
 func (Reference) Jacobi5(dst, src, f []float64, nx, ny int, h float64) float64 {
 	stride := ny + 2
 	diffs := make([]float64, nx)
@@ -130,8 +128,10 @@ func (Reference) Jacobi5(dst, src, f []float64, nx, ny int, h float64) float64 {
 	return maxd
 }
 
-// Im2col unrolls the patches sequentially (verbatim the seed nn.Im2col
-// loop nest). dst is the zeroed (c*k*k) x (outH*outW) matrix.
+// Im2col unrolls a CHW image (c x h x w) into the (c*k*k) x
+// (outH*outW) patch matrix dst for a square-kernel convolution with the
+// given stride and zero padding, sequentially. Out-of-bounds taps stay
+// zero; dst must be zero-initialized.
 func (Reference) Im2col(dst, src []float64, c, h, w, k, stride, pad int) {
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1

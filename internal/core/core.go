@@ -42,10 +42,12 @@ func (n NetworkChoice) profile() network.Profile {
 }
 
 // TX1 returns the paper's proposed cluster: n Jetson TX1 nodes on the
-// chosen network, with the NFS file server attached.
+// chosen network. RanksPerNode is 0, so each run takes the workload's
+// rank density, and runs attach the NFS file server to GPU workloads
+// (see NewScenario).
 func TX1(nodes int, net NetworkChoice) cluster.Config {
 	cfg := cluster.TX1Cluster(nodes, net.profile())
-	cfg.FileServer = true
+	cfg.RanksPerNode = 0
 	return cfg
 }
 
@@ -55,19 +57,19 @@ func TX2(nodes int, net NetworkChoice) cluster.Config {
 	cfg := cluster.TX1Cluster(nodes, net.profile())
 	cfg.NodeType = soc.JetsonTX2()
 	cfg.Name = fmt.Sprintf("%d-node TX2 %s", nodes, net.profile().Name)
-	cfg.FileServer = true
+	cfg.RanksPerNode = 0
 	return cfg
 }
 
 // Cavium returns the many-core ARM comparison server with the paper's 32
-// MPI processes.
+// MPI processes. The rank count is explicit, so every run keeps it.
 func Cavium() cluster.Config { return cluster.CaviumServer(32) }
 
 // GTX980 returns the discrete-GPU comparison cluster of n Xeon-hosted
-// cards.
+// cards, with RanksPerNode 0 like TX1.
 func GTX980(nodes int) cluster.Config {
 	cfg := cluster.GTX980Cluster(nodes)
-	cfg.FileServer = true
+	cfg.RanksPerNode = 0
 	return cfg
 }
 

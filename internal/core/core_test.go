@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"clustersoc/internal/experiments"
 	"clustersoc/internal/roofline"
 )
 
@@ -152,5 +153,53 @@ func TestSessionScalabilityMatchesSequential(t *testing.T) {
 	}
 	if got.Fit != want.Fit {
 		t.Error("scaling fit diverged")
+	}
+}
+
+// The Cavium preset's explicit 32 MPI processes are what a run simulates:
+// only RanksPerNode 0 defers to the workload's density.
+func TestCaviumKeepsItsRankCount(t *testing.T) {
+	for _, w := range []string{"ep", "cg", "hpl-cpu"} {
+		res, err := Run(Cavium(), w, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ranks != 32 {
+			t.Errorf("%s on the Cavium: %d ranks, want 32", w, res.Ranks)
+		}
+	}
+	res, err := Run(TX1(2, TenGigE), "cg", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ranks != 8 {
+		t.Errorf("cg on 2 TX1 nodes: %d ranks, want the workload's 4 per node", res.Ranks)
+	}
+}
+
+// A scalability sweep on the TX1 preset asks exactly the questions the
+// Fig. 5/6 generators already answered on the same runner, so it
+// simulates nothing.
+func TestScalabilitySharesFigureRuns(t *testing.T) {
+	for _, tc := range []struct {
+		fig      func(experiments.Options) *experiments.Scaling
+		workload string
+	}{{experiments.Fig5, "hpl"}, {experiments.Fig6, "cg"}} {
+		s := NewSession(0)
+		tc.fig(experiments.Options{Scale: 0.08, Runner: s.Runner()})
+		before := s.Runner().Stats().Simulated
+		if _, err := s.Scalability(TX1(8, TenGigE), tc.workload, []int{1, 2, 4, 6, 8}, 0.08); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Runner().Stats().Simulated - before; n != 0 {
+			t.Errorf("%s scalability after its figure simulated %d scenarios, want 0", tc.workload, n)
+		}
+		point, err := s.ScalabilityPoint(TX1(8, TenGigE), tc.workload, 2, 0.08)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "2-node TX1 10GbE"; point.System != want {
+			t.Errorf("%s 2-node point labeled %q, want %q", tc.workload, point.System, want)
+		}
 	}
 }

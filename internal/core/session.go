@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"clustersoc/internal/cluster"
 	"clustersoc/internal/dimemas"
@@ -32,11 +34,13 @@ func (s *Session) Runner() *runner.Runner { return s.r }
 
 // NewScenario validates and normalizes a run request into the canonical
 // runner.Scenario exactly the way Session.Run does: the workload must be
-// registered, GPU workloads require a GPU, RanksPerNode is derived from
-// the workload (clamped by the node's core count), and the result must
-// pass runner.Scenario.Validate. Front ends that accept serialized
-// requests (cmd/simd) resolve through this so their fingerprints land on
-// the same cache entries the library face warms.
+// registered, GPU workloads require a GPU and get the NFS file server
+// attached (as the experiment generators do), RanksPerNode 0 is derived
+// from the workload (clamped by the node's core count) while an explicit
+// value is kept, and the result must pass runner.Scenario.Validate.
+// Front ends that accept serialized requests (cmd/simd) resolve through
+// this so their fingerprints land on the same cache entries the library
+// face warms.
 func NewScenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runner.Scenario, error) {
 	return scenario(cfg, workload, wcfg)
 }
@@ -50,9 +54,11 @@ func scenario(cfg cluster.Config, workload string, wcfg workloads.Config) (runne
 	if w.GPUAccelerated() && cfg.NodeType.GPU == nil {
 		return runner.Scenario{}, fmt.Errorf("core: workload %s needs a GPU; %s has none", workload, cfg.Name)
 	}
-	cfg.RanksPerNode = w.RanksPerNode()
-	if cfg.NodeType.CPU.Cores < cfg.RanksPerNode {
-		cfg.RanksPerNode = cfg.NodeType.CPU.Cores
+	if w.GPUAccelerated() {
+		cfg.FileServer = true
+	}
+	if cfg.RanksPerNode == 0 {
+		cfg.RanksPerNode = min(w.RanksPerNode(), cfg.NodeType.CPU.Cores)
 	}
 	sc := runner.Scenario{Cluster: cfg, Workload: workload, Config: wcfg}
 	if err := sc.Validate(); err != nil {
@@ -80,12 +86,17 @@ func (s *Session) RunWithConfig(cfg cluster.Config, workload string, wcfg worklo
 // scalabilityScenario builds the traced scenario Scalability simulates
 // at one cluster size, so callers wanting the raw run-plane Result (the
 // Trace for exporters, the CritPath report) hit the same cache entries.
-func scalabilityScenario(cfg cluster.Config, w workloads.Workload, nodes int, scale float64) runner.Scenario {
-	c := cfg
-	c.Nodes = nodes
-	c.RanksPerNode = w.RanksPerNode()
-	c.Traced = true
-	return runner.Scenario{Cluster: c, Workload: w.Name(), Config: workloads.Config{Scale: scale}}
+// The point is normalized like any run and labeled with its own size (a
+// name that starts with cfg's node count, as every preset's does, gets
+// the point's count instead), so it shares the entries of the Fig. 5/6
+// generators' traced runs.
+func scalabilityScenario(cfg cluster.Config, workload string, nodes int, scale float64) (runner.Scenario, error) {
+	if rest, ok := strings.CutPrefix(cfg.Name, strconv.Itoa(cfg.Nodes)); ok {
+		cfg.Name = strconv.Itoa(nodes) + rest
+	}
+	cfg.Nodes = nodes
+	cfg.Traced = true
+	return scenario(cfg, workload, workloads.Config{Scale: scale})
 }
 
 // ScalabilityPoint runs (or joins from the session cache) the traced
@@ -94,11 +105,11 @@ func scalabilityScenario(cfg cluster.Config, w workloads.Workload, nodes int, sc
 // report when recording is enabled. After a Scalability call covering
 // the same size it is a guaranteed cache hit.
 func (s *Session) ScalabilityPoint(cfg cluster.Config, workload string, nodes int, scale float64) (runner.Result, error) {
-	w, err := workloads.ByName(workload)
+	sc, err := scalabilityScenario(cfg, workload, nodes, scale)
 	if err != nil {
 		return runner.Result{}, err
 	}
-	return s.r.Run(scalabilityScenario(cfg, w, nodes, scale))
+	return s.r.Run(sc)
 }
 
 // Scalability traces a workload across cluster sizes on the system type
@@ -106,13 +117,13 @@ func (s *Session) ScalabilityPoint(cfg cluster.Config, workload string, nodes in
 // runs the replay decomposition. The per-size runs are independent, so
 // they execute concurrently under a parallel session.
 func (s *Session) Scalability(cfg cluster.Config, workload string, sizes []int, scale float64) (*ScalabilityResult, error) {
-	w, err := workloads.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
 	var scenarios []runner.Scenario
 	for _, n := range sizes {
-		scenarios = append(scenarios, scalabilityScenario(cfg, w, n, scale))
+		sc, err := scalabilityScenario(cfg, workload, n, scale)
+		if err != nil {
+			return nil, err
+		}
+		scenarios = append(scenarios, sc)
 	}
 	results, err := s.r.RunAll(scenarios)
 	if err != nil {

@@ -21,21 +21,16 @@ import (
 	"clustersoc/internal/workloads"
 )
 
-// scenario builds a runner scenario the way core.Session does: ranks per
-// node from the workload, clamped to the CPU core count.
+// scenario builds a runner scenario the way core.Session does.
 func scenario(t *testing.T, workload string, nodes int, net core.NetworkChoice, scale float64, traced bool) runner.Scenario {
 	t.Helper()
 	cfg := core.TX1(nodes, net)
-	w, err := workloads.ByName(workload)
+	cfg.Traced = traced
+	sc, err := core.NewScenario(cfg, workload, workloads.Config{Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RanksPerNode = w.RanksPerNode()
-	if cfg.NodeType.CPU.Cores < cfg.RanksPerNode {
-		cfg.RanksPerNode = cfg.NodeType.CPU.Cores
-	}
-	cfg.Traced = traced
-	return runner.Scenario{Cluster: cfg, Workload: workload, Config: workloads.Config{Scale: scale}}
+	return sc
 }
 
 func analyzed(t *testing.T, s runner.Scenario) *critpath.Report {

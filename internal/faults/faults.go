@@ -19,6 +19,7 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 
@@ -79,6 +80,64 @@ type Plan struct {
 	CheckpointInterval  float64
 	CheckpointSeconds   float64
 	CheckpointBandwidth float64
+}
+
+// Bounds Validate holds a Plan to, so that an untrusted plan can neither
+// stall a run nor make its results non-finite.
+const (
+	// MinMTBF is the shortest nonzero FlapMTBF or CrashMTBF. Each clock
+	// draws one event per MTBF of simulated time, so a vanishing mean
+	// would draw without end (or stop advancing below one ulp).
+	MinMTBF = 1 * units.Millisecond
+	// MaxSeconds bounds every duration and MTBF, keeping the simulated
+	// time they add finite.
+	MaxSeconds = 1e9
+	// MaxStragglerFactor bounds the straggler compute slowdown.
+	MaxStragglerFactor = 1e3
+	// MinLinkDerate is the smallest nonzero LinkDerate: a degraded link
+	// keeps at least this share of its throughput.
+	MinLinkDerate = 1e-3
+	// MinCheckpointBandwidth is the smallest nonzero CheckpointBandwidth,
+	// in bytes per second.
+	MinCheckpointBandwidth = 1 * units.MB
+)
+
+// Validate reports whether the plan is safe to run: every field finite
+// and non-negative; the fractions, MessageLossProb and LinkDerate at most
+// 1; FlapMTBF and CrashMTBF either 0 or at least MinMTBF; every duration
+// and MTBF at most MaxSeconds; StragglerFactor at most
+// MaxStragglerFactor; LinkDerate and CheckpointBandwidth either 0 or at
+// least their floors. A nil plan is valid. cluster.Config.Validate calls
+// it, so every front end shares the check.
+func (p *Plan) Validate() error {
+	if p == nil {
+		return nil
+	}
+	for _, f := range []struct {
+		name     string
+		v        float64
+		min, max float64 // a nonzero v must lie in [min, max]
+	}{
+		{"StragglerFraction", p.StragglerFraction, 0, 1},
+		{"StragglerFactor", p.StragglerFactor, 0, MaxStragglerFactor},
+		{"DerateFraction", p.DerateFraction, 0, 1},
+		{"LinkDerate", p.LinkDerate, MinLinkDerate, 1},
+		{"FlapMTBF", p.FlapMTBF, MinMTBF, MaxSeconds},
+		{"FlapSeconds", p.FlapSeconds, 0, MaxSeconds},
+		{"MessageLossProb", p.MessageLossProb, 0, 1},
+		{"RetransmitTimeout", p.RetransmitTimeout, 0, MaxSeconds},
+		{"CrashMTBF", p.CrashMTBF, MinMTBF, MaxSeconds},
+		{"RestartSeconds", p.RestartSeconds, 0, MaxSeconds},
+		{"CheckpointInterval", p.CheckpointInterval, 0, MaxSeconds},
+		{"CheckpointSeconds", p.CheckpointSeconds, 0, MaxSeconds},
+		{"CheckpointBandwidth", p.CheckpointBandwidth, MinCheckpointBandwidth, math.MaxFloat64},
+	} {
+		// The negated comparison also rejects NaN.
+		if f.v != 0 && !(f.v >= f.min && f.v <= f.max) {
+			return fmt.Errorf("faults: %s %g must be 0 or in [%g, %g]", f.name, f.v, f.min, f.max)
+		}
+	}
+	return nil
 }
 
 // Enabled reports whether the plan injects anything. Nil-safe.

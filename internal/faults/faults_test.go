@@ -245,3 +245,48 @@ func TestFlapSourceOrdered(t *testing.T) {
 		prevEnd = en
 	}
 }
+
+// Validate accepts the plans the repo runs and rejects every plan that
+// could stall a run or make its results non-finite.
+func TestPlanValidate(t *testing.T) {
+	var nilPlan *Plan
+	if err := nilPlan.Validate(); err != nil {
+		t.Fatalf("nil plan: %v", err)
+	}
+	valid := []Plan{
+		{},
+		{Seed: 1, StragglerFraction: 0.25, StragglerFactor: 1.5},
+		{Seed: 1, DerateFraction: 0.25, LinkDerate: 0.4},
+		{Seed: 1, FlapMTBF: MinMTBF, FlapSeconds: MinMTBF},
+		{Seed: 1, MessageLossProb: 1, RetransmitTimeout: MaxSeconds},
+		{Seed: 1, CrashMTBF: MinMTBF, RestartSeconds: 1, CheckpointInterval: 60, CheckpointSeconds: 1, CheckpointBandwidth: MinCheckpointBandwidth},
+	}
+	for i, p := range valid {
+		if err := p.Validate(); err != nil {
+			t.Errorf("valid plan %d rejected: %v", i, err)
+		}
+	}
+	invalid := map[string]Plan{
+		"NaN fraction":            {StragglerFraction: math.NaN(), StragglerFactor: 2},
+		"negative factor":         {StragglerFraction: 0.5, StragglerFactor: -2},
+		"huge factor":             {StragglerFraction: 0.5, StragglerFactor: 2 * MaxStragglerFactor},
+		"fraction above 1":        {DerateFraction: 1.5, LinkDerate: 0.5},
+		"derate above 1":          {DerateFraction: 0.5, LinkDerate: 1.5},
+		"vanishing derate":        {DerateFraction: 0.5, LinkDerate: 1e-300},
+		"vanishing flap MTBF":     {FlapMTBF: 1e-12, FlapSeconds: 1e-15},
+		"endless flap":            {FlapMTBF: 1, FlapSeconds: 1e308},
+		"infinite flap":           {FlapMTBF: 1, FlapSeconds: math.Inf(1)},
+		"loss above 1":            {MessageLossProb: 2},
+		"negative timeout":        {MessageLossProb: 0.5, RetransmitTimeout: -1},
+		"vanishing crash MTBF":    {CrashMTBF: 1e-20},
+		"infinite crash MTBF":     {CrashMTBF: math.Inf(1)},
+		"negative restart":        {CrashMTBF: 1, RestartSeconds: -1},
+		"huge checkpoint":         {CrashMTBF: 1, CheckpointInterval: 1, CheckpointSeconds: 2 * MaxSeconds},
+		"vanishing checkpoint bw": {CrashMTBF: 1, CheckpointInterval: 1, CheckpointBandwidth: 1e-300},
+	}
+	for name, p := range invalid {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

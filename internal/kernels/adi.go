@@ -1,6 +1,10 @@
 package kernels
 
-import "errors"
+import (
+	"errors"
+
+	"clustersoc/internal/compute"
+)
 
 // This file implements the algorithm family behind NPB bt and sp: an
 // Alternating-Direction-Implicit (ADI) timestep for the 2D heat equation,
@@ -54,7 +58,7 @@ func ADIHeat2D(u *Grid2D, dt, h float64) error {
 
 	// Half-step 1: implicit in x (solve along columns), explicit in y.
 	var solveErr error
-	parallelFor(ny, func(lo, hi int) {
+	compute.ParallelFor(ny, func(lo, hi int) {
 		a := make([]float64, nx)
 		b := make([]float64, nx)
 		c := make([]float64, nx)
@@ -78,7 +82,7 @@ func ADIHeat2D(u *Grid2D, dt, h float64) error {
 	}
 
 	// Half-step 2: implicit in y (solve along rows), explicit in x.
-	parallelFor(nx, func(lo, hi int) {
+	compute.ParallelFor(nx, func(lo, hi int) {
 		a := make([]float64, ny)
 		b := make([]float64, ny)
 		c := make([]float64, ny)

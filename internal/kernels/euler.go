@@ -1,6 +1,10 @@
 package kernels
 
-import "math"
+import (
+	"math"
+
+	"clustersoc/internal/compute"
+)
 
 // EulerState holds the conserved variables of the 2D compressible Euler
 // equations on an nx x ny grid with a one-cell halo — the state cloverleaf
@@ -150,7 +154,7 @@ func (s *EulerState) Step(dt, h float64) float64 {
 		}
 		return i
 	}
-	parallelFor(nx, func(lo, hi int) {
+	compute.ParallelFor(nx, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < ny; j++ {
 				fxm := flux(clampIdx(i-1, nx), j, i, j, 0)

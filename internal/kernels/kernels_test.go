@@ -482,78 +482,3 @@ func TestCountHelpersPositive(t *testing.T) {
 		t.Error("halo bytes")
 	}
 }
-
-// Blocked matmul must match the naive product for awkward shapes and any
-// block size.
-func TestMatMulBlockedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := NewMatrix(37, 23)
-	b := NewMatrix(23, 41)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	want, _ := MatMul(a, b)
-	for _, bs := range []int{1, 7, 16, 64, 100} {
-		got, err := MatMulBlocked(a, b, bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
-				t.Fatalf("bs=%d: element %d differs", bs, i)
-			}
-		}
-	}
-	if _, err := MatMulBlocked(a, NewMatrix(5, 5), 16); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-}
-
-func TestGEMMOperationalIntensityGrowsWithBlock(t *testing.T) {
-	if GEMMOperationalIntensity(64) <= GEMMOperationalIntensity(8) {
-		t.Fatal("bigger tiles must raise OI")
-	}
-	// The TX1's 256 KB GPU L2 fits ~100x100 tiles; the resulting OI ~ 8
-	// explains why hpl cannot reach GEMM's textbook intensity there.
-	if oi := GEMMOperationalIntensity(100); oi < 4 || oi > 16 {
-		t.Fatalf("OI(100) = %v, want single digits", oi)
-	}
-}
-
-// Non-positive block sizes are caller bugs (they would silently change
-// the modeled operational intensity) and must be rejected, not
-// defaulted.
-func TestMatMulBlockedRejectsBadBlockSize(t *testing.T) {
-	a := NewMatrix(4, 4)
-	b := NewMatrix(4, 4)
-	cases := []struct {
-		bs      int
-		wantErr bool
-	}{
-		{-64, true},
-		{-1, true},
-		{0, true},
-		{1, false},
-		{64, false},
-	}
-	for _, tc := range cases {
-		c, err := MatMulBlocked(a, b, tc.bs)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("bs=%d: accepted", tc.bs)
-			} else if err.Error() != "kernels: block size must be positive" {
-				t.Errorf("bs=%d: unexpected error %q", tc.bs, err)
-			}
-			if c != nil {
-				t.Errorf("bs=%d: non-nil result with error", tc.bs)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("bs=%d: rejected: %v", tc.bs, err)
-		}
-	}
-}

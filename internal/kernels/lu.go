@@ -3,6 +3,8 @@ package kernels
 import (
 	"errors"
 	"math"
+
+	"clustersoc/internal/compute"
 )
 
 // LU holds an in-place LU factorization with partial pivoting: the strict
@@ -50,14 +52,14 @@ func Factor(a *Matrix) (*LU, error) {
 			m.Set(i, k, m.At(i, k)/pivot)
 		}
 		// Trailing update (the DGEMM-shaped bulk hpl offloads to the GPU):
-		// a rank-1 update A' -= l ⊗ rowK dispatched through the compute
-		// backend. alpha = -1 makes the backend's += alpha*x[i]*y[j]
-		// bitwise the seed's row[j] -= l*rowK[j].
+		// a rank-1 update A' -= l ⊗ rowK on the compute engine. alpha = -1
+		// makes the engine's += alpha*x[i]*y[j] bitwise the plain
+		// row[j] -= l*rowK[j].
 		if k+1 < n {
 			for i := k + 1; i < n; i++ {
 				lcol[i-k-1] = m.At(i, k)
 			}
-			backend().Ger(-1, lcol[:n-k-1], m.Data[k*n+k+1:(k+1)*n],
+			compute.Blocked{}.Ger(-1, lcol[:n-k-1], m.Data[k*n+k+1:(k+1)*n],
 				m.Data[(k+1)*n+k+1:], n)
 		}
 	}

@@ -41,51 +41,36 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// ParallelFor runs body over [0,n) split into contiguous chunks across
-// the available cores — the standard HPC decomposition, which keeps each
-// worker streaming through adjacent memory. Exported for the other
-// numeric packages (internal/nn) to share.
-func ParallelFor(n int, body func(lo, hi int)) { compute.ParallelFor(n, body) }
-
-// parallelFor is the package-internal alias the kernel loops use.
-func parallelFor(n int, body func(lo, hi int)) { compute.ParallelFor(n, body) }
-
-// backend returns the process-wide compute backend every dense primitive
-// in this package dispatches through (see internal/compute; the default
-// Reference backend reproduces the seed loops bit-for-bit).
-func backend() compute.Backend { return compute.Default() }
-
-// MatMul computes c = a*b through the compute backend. Dimensions must
-// agree.
+// MatMul computes c = a*b on the compute engine. Dimensions must agree.
 func MatMul(a, b *Matrix) (*Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, errors.New("kernels: matmul dimension mismatch")
 	}
 	c := NewMatrix(a.Rows, b.Cols)
-	backend().MatMul(c.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
+	compute.Blocked{}.MatMul(c.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
 	return c, nil
 }
 
-// MatVec computes y = a*x through the compute backend (an accumulating
-// Gemv over a zeroed y).
+// MatVec computes y = a*x on the compute engine (an accumulating Gemv
+// over a zeroed y).
 func MatVec(a *Matrix, x []float64) ([]float64, error) {
 	if a.Cols != len(x) {
 		return nil, errors.New("kernels: matvec dimension mismatch")
 	}
 	y := make([]float64, a.Rows)
-	backend().Gemv(y, a.Data, x, a.Rows, a.Cols)
+	compute.Blocked{}.Gemv(y, a.Data, x, a.Rows, a.Cols)
 	return y, nil
 }
 
 // MatMulFlops returns the FLOPs of an (m x k) * (k x n) product.
 func MatMulFlops(m, k, n int) float64 { return 2 * float64(m) * float64(k) * float64(n) }
 
-// Dot returns the inner product of two equal-length vectors, through the
-// compute backend.
-func Dot(a, b []float64) float64 { return backend().Dot(a, b) }
+// Dot returns the inner product of two equal-length vectors, on the
+// compute engine.
+func Dot(a, b []float64) float64 { return compute.Blocked{}.Dot(a, b) }
 
-// Axpy computes y += alpha*x in place, through the compute backend.
-func Axpy(alpha float64, x, y []float64) { backend().Axpy(alpha, x, y) }
+// Axpy computes y += alpha*x in place, on the compute engine.
+func Axpy(alpha float64, x, y []float64) { compute.Blocked{}.Axpy(alpha, x, y) }
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {

@@ -1,5 +1,7 @@
 package kernels
 
+import "clustersoc/internal/compute"
+
 // Multigrid implements a geometric multigrid V-cycle for the 2D Poisson
 // problem -lap(u) = f on the unit square — the algorithm family of NPB mg
 // (which runs a 3D V-cycle; this 2D version exercises the same restrict /
@@ -60,7 +62,7 @@ func VCycle(u, f *Grid2D, h float64, pre, post int) {
 func residualGrid(u, f *Grid2D, h float64) *Grid2D {
 	r := NewGrid2D(u.NX, u.NY)
 	stride := u.NY + 2
-	parallelFor(u.NX, func(lo, hi int) {
+	compute.ParallelFor(u.NX, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := (i + 1) * stride
 			for j := 1; j <= u.NY; j++ {

@@ -3,6 +3,8 @@ package kernels
 import (
 	"math"
 	"sort"
+
+	"clustersoc/internal/compute"
 )
 
 // BucketSort sorts non-negative integer keys < maxKey with the
@@ -29,7 +31,7 @@ func BucketSort(keys []int32, maxKey int32, buckets int) []int32 {
 		bins[b] = append(bins[b], k)
 	}
 	// Sort buckets in parallel (counting sort within each bucket range).
-	parallelFor(buckets, func(lo, hi int) {
+	compute.ParallelFor(buckets, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			bin := bins[b]
 			if len(bin) == 0 {

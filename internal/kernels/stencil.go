@@ -1,6 +1,10 @@
 package kernels
 
-import "math"
+import (
+	"math"
+
+	"clustersoc/internal/compute"
+)
 
 // Grid2D is a dense 2D scalar field with a one-cell halo on each side,
 // stored row-major on (nx+2) x (ny+2) points. It is the data structure of
@@ -24,9 +28,9 @@ func (g *Grid2D) Set(i, j int, v float64) { g.Data[(i+1)*(g.NY+2)+(j+1)] = v }
 // JacobiStep performs one weighted-Jacobi sweep for the Poisson problem
 // -lap(u) = f on the unit square (5-point stencil, Dirichlet halo),
 // writing into dst and returning the max-norm change. The sweep is the
-// stencil-apply primitive of the compute backend.
+// stencil-apply primitive of the compute engine.
 func JacobiStep(dst, src, f *Grid2D, h float64) float64 {
-	return backend().Jacobi5(dst.Data, src.Data, f.Data, src.NX, src.NY, h)
+	return compute.Blocked{}.Jacobi5(dst.Data, src.Data, f.Data, src.NX, src.NY, h)
 }
 
 // DampedJacobiStep performs one weighted-Jacobi sweep with damping factor
@@ -36,7 +40,7 @@ func JacobiStep(dst, src, f *Grid2D, h float64) float64 {
 func DampedJacobiStep(dst, src, f *Grid2D, h, omega float64) {
 	nx, ny := src.NX, src.NY
 	stride := ny + 2
-	parallelFor(nx, func(lo, hi int) {
+	compute.ParallelFor(nx, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := (i + 1) * stride
 			for j := 1; j <= ny; j++ {

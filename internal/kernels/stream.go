@@ -1,6 +1,10 @@
 package kernels
 
-import "time"
+import (
+	"time"
+
+	"clustersoc/internal/compute"
+)
 
 // This file implements the STREAM benchmark (McCalpin) the paper uses to
 // measure each system's memory bandwidth: Copy, Scale, Add, and Triad
@@ -17,14 +21,14 @@ type StreamResult struct {
 
 // StreamCopy runs c = a.
 func StreamCopy(a, c []float64) {
-	parallelFor(len(a), func(lo, hi int) {
+	compute.ParallelFor(len(a), func(lo, hi int) {
 		copy(c[lo:hi], a[lo:hi])
 	})
 }
 
 // StreamScale runs b = s*c.
 func StreamScale(b, c []float64, s float64) {
-	parallelFor(len(b), func(lo, hi int) {
+	compute.ParallelFor(len(b), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b[i] = s * c[i]
 		}
@@ -33,17 +37,17 @@ func StreamScale(b, c []float64, s float64) {
 
 // StreamAdd runs c = a + b.
 func StreamAdd(a, b, c []float64) {
-	parallelFor(len(a), func(lo, hi int) {
+	compute.ParallelFor(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c[i] = a[i] + b[i]
 		}
 	})
 }
 
-// StreamTriad runs a = b + s*c — the headline STREAM kernel, dispatched
-// through the compute backend.
+// StreamTriad runs a = b + s*c — the headline STREAM kernel, on the
+// compute engine.
 func StreamTriad(a, b, c []float64, s float64) {
-	backend().Triad(a, b, c, s)
+	compute.Blocked{}.Triad(a, b, c, s)
 }
 
 // RunStream measures all four kernels over arrays of n doubles with the

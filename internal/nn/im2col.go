@@ -11,9 +11,9 @@ import (
 // the GPU (and the reason conv layers inherit GEMM's high operational
 // intensity in Table II): the input patches are unrolled into a matrix
 // and the convolution becomes one big multiply against the unrolled
-// weights. Both the unroll and the GEMM dispatch through the compute
-// backend (internal/compute), so an accelerated engine speeds up exactly
-// the operations cuDNN would.
+// weights. Both the unroll and the GEMM run on the compute engine
+// (internal/compute), which accelerates exactly the operations cuDNN
+// would.
 
 // Im2col unrolls the input into a (C*K*K) x (outH*outW) matrix for the
 // given convolution geometry. Out-of-bounds taps contribute zeros. The
@@ -41,15 +41,14 @@ func Im2col(in *Tensor, k, stride, pad int) (*kernels.Matrix, error) {
 	outH := (in.Shape.H+2*pad-k)/stride + 1
 	outW := (in.Shape.W+2*pad-k)/stride + 1
 	m := kernels.NewMatrix(in.Shape.C*k*k, outH*outW)
-	compute.Default().Im2col(m.Data, in.Data, in.Shape.C, in.Shape.H, in.Shape.W, k, stride, pad)
+	compute.Blocked{}.Im2col(m.Data, in.Data, in.Shape.C, in.Shape.H, in.Shape.W, k, stride, pad)
 	return m, nil
 }
 
-// ForwardGEMM runs the convolution as weights x im2col(input) + bias,
-// per group. It is bit-compatible with Conv.Forward up to floating-point
-// summation order within a row, and exercised against it in the tests.
-func (c *Conv) ForwardGEMM(in *Tensor) (*Tensor, error) {
-	c.ensureWeights(in.Shape.C)
+// forwardGEMM runs the convolution as weights x im2col(input) + bias,
+// per group. It matches the direct loops up to floating-point summation
+// order within a row, and is exercised against them in the tests.
+func (c *Conv) forwardGEMM(in *Tensor) (*Tensor, error) {
 	out := NewTensor(c.OutShape(in.Shape))
 	inCPerG := in.Shape.C / c.Groups
 	outCPerG := c.OutC / c.Groups

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"clustersoc/internal/compute"
-	"clustersoc/internal/kernels"
 )
 
 // Layer is one network stage.
@@ -76,23 +75,26 @@ func (c *Conv) ensureWeights(inC int) {
 	fillWeights(c.bias, c.seed^0x9e3779b9, 1)
 }
 
-// Forward runs the convolution. Under the default Reference backend it
-// executes the seed's direct loops (output channels in parallel),
-// preserving the exact summation order; an accelerated backend routes
-// through the im2col→GEMM path — the dispatch Caffe makes when cuDNN is
-// available — falling back to the direct loops if the geometry is one
-// im2col rejects.
+// Forward runs the convolution as im2col→GEMM on the compute engine —
+// the dispatch Caffe makes when cuDNN is available — falling back to the
+// direct loops only for a geometry Im2col rejects.
 func (c *Conv) Forward(in *Tensor) *Tensor {
 	c.ensureWeights(in.Shape.C)
-	if compute.Default().Accelerated() {
-		if out, err := c.ForwardGEMM(in); err == nil {
-			return out
-		}
+	if out, err := c.forwardGEMM(in); err == nil {
+		return out
 	}
+	return c.forwardDirect(in)
+}
+
+// forwardDirect runs the convolution as the direct loop nest, output
+// channels in parallel: Forward's fallback and the tests' oracle for the
+// GEMM path.
+func (c *Conv) forwardDirect(in *Tensor) *Tensor {
+	c.ensureWeights(in.Shape.C)
 	out := NewTensor(c.OutShape(in.Shape))
 	inCPerG := in.Shape.C / c.Groups
 	outCPerG := c.OutC / c.Groups
-	kernels.ParallelFor(c.OutC, func(lo, hi int) {
+	compute.ParallelFor(c.OutC, func(lo, hi int) {
 		for oc := lo; oc < hi; oc++ {
 			g := oc / outCPerG
 			for oh := 0; oh < out.Shape.H; oh++ {
@@ -184,7 +186,7 @@ func (p *Pool) Forward(in *Tensor) *Tensor {
 	if p.Global {
 		k, stride, pad = in.Shape.H, 1, 0
 	}
-	kernels.ParallelFor(in.Shape.C, func(lo, hi int) {
+	compute.ParallelFor(in.Shape.C, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			for oh := 0; oh < out.Shape.H; oh++ {
 				for ow := 0; ow < out.Shape.W; ow++ {
@@ -241,7 +243,7 @@ func (l *LRN) FLOPs(in Shape) float64 { return float64(in.Elems()) * float64(l.S
 func (l *LRN) Forward(in *Tensor) *Tensor {
 	out := NewTensor(in.Shape)
 	half := l.Size / 2
-	kernels.ParallelFor(in.Shape.C, func(lo, hi int) {
+	compute.ParallelFor(in.Shape.C, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			for h := 0; h < in.Shape.H; h++ {
 				for w := 0; w < in.Shape.W; w++ {
@@ -292,12 +294,11 @@ func (f *FC) Forward(in *Tensor) *Tensor {
 		fillWeights(f.weights, f.seed, n)
 		fillWeights(f.bias, f.seed^0xabcdef, 1)
 	}
-	// y = W*x + b as an accumulating Gemv over the bias vector, through
-	// the compute backend: the Reference engine reproduces the seed loop
-	// (s starts at the bias, then adds in column order) bit-for-bit.
+	// y = W*x + b as an accumulating Gemv over the bias vector on the
+	// compute engine (s starts at the bias, then adds in column order).
 	out := NewTensor(Shape{C: f.Out, H: 1, W: 1})
 	copy(out.Data, f.bias)
-	compute.Default().Gemv(out.Data, f.weights, in.Data, f.Out, n)
+	compute.Blocked{}.Gemv(out.Data, f.weights, in.Data, f.Out, n)
 	return out
 }
 

@@ -236,8 +236,8 @@ func TestJPEGDecodeCostScales(t *testing.T) {
 	}
 }
 
-// im2col + GEMM must agree with the direct convolution loops — the same
-// equivalence Caffe relies on.
+// Forward's im2col + GEMM path must agree with the direct convolution
+// loops — the same equivalence Caffe relies on.
 func TestForwardGEMMMatchesDirect(t *testing.T) {
 	cases := []*Conv{
 		NewConv("a", 6, 3, 1, 1, 1, 21),
@@ -251,11 +251,8 @@ func TestForwardGEMMMatchesDirect(t *testing.T) {
 		in.Data[i] = g.next()
 	}
 	for _, c := range cases {
-		direct := c.Forward(in)
-		gemm, err := c.ForwardGEMM(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		direct := c.forwardDirect(in)
+		gemm := c.Forward(in)
 		if gemm.Shape != direct.Shape {
 			t.Fatalf("%s: shapes differ", c.Label)
 		}

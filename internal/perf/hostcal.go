@@ -7,14 +7,13 @@ import (
 	"clustersoc/internal/compute"
 )
 
-// HostKernel is one calibration kernel timed on the host machine through
-// a compute backend. The simulator's rooflines are analytic; these
+// HostKernel is one calibration kernel timed on the host machine on the
+// compute engine. The simulator's rooflines are analytic; these
 // measurements anchor them — the same kernels the timing models count
 // FLOPs for, actually executed, so a model/host discrepancy is visible
 // as a rate gap rather than hidden inside a constant.
 type HostKernel struct {
 	Name    string  // gemm, triad, dot, jacobi
-	Backend string  // compute backend that produced the timing
 	Flops   float64 // floating-point operations per run
 	Bytes   float64 // bytes the streaming model charges per run
 	Seconds float64 // best-of-trials wall time for one run
@@ -37,13 +36,14 @@ func (h HostKernel) OI() float64 {
 	return h.Flops / h.Bytes
 }
 
-// MeasureHostKernels times the four calibration kernels on the host
-// under backend b and returns one entry per kernel: an n x n x n GEMM,
+// MeasureHostKernels times the four calibration kernels on the host on
+// the compute engine and returns one entry per kernel: an n x n x n GEMM,
 // a STREAM triad and a dot product over n*n elements, and one 5-point
 // Jacobi sweep of an n x n grid. Each kernel keeps the best of trials
 // runs (trials < 1 is treated as 1). Inputs are deterministic, so two
 // calls differ only in the measured wall time.
-func MeasureHostKernels(b compute.Backend, n, trials int) []HostKernel {
+func MeasureHostKernels(n, trials int) []HostKernel {
+	var eng compute.Blocked
 	if trials < 1 {
 		trials = 1
 	}
@@ -76,33 +76,33 @@ func MeasureHostKernels(b compute.Backend, n, trials int) []HostKernel {
 
 	out := []HostKernel{
 		{
-			Name: "gemm", Backend: b.Name(),
+			Name:  "gemm",
 			Flops: 2 * fn * fn * fn,
 			Bytes: 3 * 8 * fm, // stream A and B, write C
 			Seconds: best(func() {
 				for i := range cm {
 					cm[i] = 0
 				}
-				b.MatMul(cm, am, bm, n, n, n)
+				eng.MatMul(cm, am, bm, n, n, n)
 			}),
 		},
 		{
-			Name: "triad", Backend: b.Name(),
+			Name:    "triad",
 			Flops:   2 * fm,
 			Bytes:   3 * 8 * fm, // read b and c, write a
-			Seconds: best(func() { b.Triad(va, vb, vc, 3.0) }),
+			Seconds: best(func() { eng.Triad(va, vb, vc, 3.0) }),
 		},
 		{
-			Name: "dot", Backend: b.Name(),
+			Name:    "dot",
 			Flops:   2 * fm,
 			Bytes:   2 * 8 * fm,
-			Seconds: best(func() { _ = b.Dot(vb, vc) }),
+			Seconds: best(func() { _ = eng.Dot(vb, vc) }),
 		},
 		{
-			Name: "jacobi", Backend: b.Name(),
+			Name:    "jacobi",
 			Flops:   6 * fm,
 			Bytes:   3 * 8 * fm, // read src and f, write dst
-			Seconds: best(func() { _ = b.Jacobi5(grid, src, f, n, n, 1.0/fn) }),
+			Seconds: best(func() { _ = eng.Jacobi5(grid, src, f, n, n, 1.0/fn) }),
 		},
 	}
 	return out

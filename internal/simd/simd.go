@@ -76,7 +76,9 @@ type Request struct {
 	Faults *faults.Plan `json:"faults,omitempty"`
 	// Cluster, when set, bypasses the presets and simulates the workload
 	// on this fully specified system (normalized by core.NewScenario, so
-	// fingerprints match the library face).
+	// fingerprints match the library face). An explicit RanksPerNode is
+	// kept; 0 takes the workload's rank density, clamped to the node's
+	// cores. GPU workloads get the file server attached.
 	Cluster *cluster.Config `json:"cluster,omitempty"`
 }
 

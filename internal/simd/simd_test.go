@@ -413,6 +413,13 @@ func TestRequestValidation(t *testing.T) {
 		{"negative gpu_work_ratio", `{"requests":[{"workload":"hpl","gpu_work_ratio":-2}]}`, http.StatusBadRequest},
 		{"huge node count", `{"requests":[{"workload":"cg","nodes":1073741824}]}`, http.StatusBadRequest},
 		{"huge cavium rank count", `{"requests":[{"workload":"ep","system":"cavium","nodes":1073741824}]}`, http.StatusBadRequest},
+		{"vanishing flap MTBF", `{"requests":[{"workload":"cg","nodes":8,"scale":0.01,"faults":{"FlapMTBF":1e-12,"FlapSeconds":1e-15}}]}`, http.StatusBadRequest},
+		{"vanishing crash MTBF", `{"requests":[{"workload":"jacobi","nodes":2,"scale":0.01,"faults":{"CrashMTBF":1e-20}}]}`, http.StatusBadRequest},
+		{"endless flap", `{"requests":[{"workload":"cg","nodes":2,"scale":0.01,"faults":{"FlapMTBF":1,"FlapSeconds":1e308}}]}`, http.StatusBadRequest},
+		{"negative fault seconds", `{"requests":[{"workload":"cg","nodes":2,"scale":0.01,"faults":{"CrashMTBF":1,"RestartSeconds":-1}}]}`, http.StatusBadRequest},
+		{"loss probability above 1", `{"requests":[{"workload":"cg","nodes":2,"scale":0.01,"faults":{"MessageLossProb":2}}]}`, http.StatusBadRequest},
+		{"link derate above 1", `{"requests":[{"workload":"cg","nodes":2,"scale":0.01,"faults":{"DerateFraction":0.5,"LinkDerate":3}}]}`, http.StatusBadRequest},
+		{"faulted custom cluster", `{"requests":[{"workload":"cg","cluster":{"Name":"x","Nodes":2,"NodeType":{"CPU":{"Cores":4}},"Faults":{"CrashMTBF":1e-20}}}]}`, http.StatusBadRequest},
 		{"oversized batch", `{"requests":[{"workload":"cg"},{"workload":"mg"},{"workload":"ft"}]}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -469,8 +476,8 @@ func TestResolvePresetParity(t *testing.T) {
 	if viaPreset.Fingerprint() != tableVI.Fingerprint() {
 		t.Fatalf("cavium preset fingerprint diverges from the Table VI generator")
 	}
-	// Custom cluster normalizes through core.NewScenario: RanksPerNode is
-	// derived from the workload, exactly as the library face does.
+	// Custom cluster normalizes through core.NewScenario, exactly as the
+	// library face does; its explicit rank count is kept.
 	custom := cluster.CaviumServer(16)
 	viaCluster := mustResolve(t, Request{Workload: "cg", Cluster: &custom, Scale: 0.05})
 	lib, err := core.NewScenario(custom, "cg", workloads.Config{Scale: 0.05})
@@ -479,6 +486,20 @@ func TestResolvePresetParity(t *testing.T) {
 	}
 	if viaCluster.Fingerprint() != lib.Fingerprint() {
 		t.Fatalf("explicit-cluster fingerprint diverges from core.NewScenario")
+	}
+	if got := viaCluster.Cluster.Nodes * viaCluster.Cluster.RanksPerNode; got != 16 {
+		t.Fatalf("CaviumServer(16) request resolved to %d ranks, want 16", got)
+	}
+	// The library's TX1 preset sent as a custom cluster lands on the
+	// preset request's entry, for every workload.
+	tx1 := core.TX1(8, core.TenGigE)
+	for _, name := range core.Workloads() {
+		viaCluster := mustResolve(t, Request{Workload: name, Cluster: &tx1, Scale: 0.05})
+		viaPreset := mustResolve(t, Request{Workload: name, Scale: 0.05})
+		if viaCluster.Fingerprint() != viaPreset.Fingerprint() {
+			t.Errorf("%s: core.TX1(8) custom cluster resolves to\n%s\nthe preset to\n%s",
+				name, viaCluster.Fingerprint(), viaPreset.Fingerprint())
+		}
 	}
 	// Traced and faulted variants never collide with the plain run.
 	plain := mustResolve(t, tiny())
